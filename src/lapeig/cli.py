@@ -17,12 +17,11 @@ from scipy import sparse
 
 from . import harness, singular
 from .errors import LapeigError, SolverFailure
-from .graph import NeighborhoodGraph, build_graph, epsilon_schedule
-from .kernels import kernel_constants, parse_kernel
+from .graph import NeighborhoodGraph, build_graph, eps_from_rule
+from .kernels import kernel_constants, parse_kernel, sigma_eta, sigma_tilde_eta
 from .manifolds import PointCloud, make_manifold, parse_density, sample_iid
 from .spectral import (normalized_spectrum, rescale_normalized,
                        rescale_unnormalized, unnormalized_spectrum)
-from .kernels import sigma_eta, sigma_tilde_eta
 
 
 def _write_json(obj, path: str | None):
@@ -97,18 +96,11 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _parse_eps(text: str, n: int, m: int) -> float:
-    if text.startswith("auto"):
-        c = float(text.split(":", 1)[1]) if ":" in text else 1.0
-        return epsilon_schedule(n, m, c)
-    return float(text)
-
-
 def _cmd_graph(args) -> int:
     with open(args.infile) as fh:
         cloud = _cloud_from_json(json.load(fh))
     kernel = parse_kernel(args.kernel)
-    eps = _parse_eps(args.eps, cloud.n, cloud.model.m)
+    eps = eps_from_rule(args.eps, cloud.n, cloud.model.m)
     graph = build_graph(cloud, kernel, eps, metric=args.metric)
     _write_json(_graph_to_json(graph, cloud.model.m), args.out)
     return 0
@@ -179,7 +171,7 @@ def _cmd_interp(args) -> int:
     with open(args.u) as fh:
         u = np.asarray(json.load(fh), dtype=float)
     kernel = parse_kernel(args.kernel)
-    eps = _parse_eps(args.eps, cloud.n, cloud.model.m)
+    eps = eps_from_rule(args.eps, cloud.n, cloud.model.m)
     ctx = InterpolationContext(cloud=cloud, kernel=kernel, eps=eps)
     if not args.query.startswith("grid:"):
         raise LapeigError(f"unknown query spec {args.query!r}; use grid:<N>")
@@ -254,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build the neighborhood graph from a cloud")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", required=True, help="a number, or auto[:c]")
+    p.add_argument("--eps", required=True,
+                   help="auto, auto:<c>, fixed:<x> or a number <x>")
     p.add_argument("--kernel", default="indicator")
     p.add_argument("--metric", default="ambient", choices=["ambient", "intrinsic"])
     p.add_argument("--out", required=True)
@@ -302,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cloud", required=True)
     p.add_argument("--u", required=True, help="JSON array of per-sample values")
     p.add_argument("--query", default="grid:256")
-    p.add_argument("--eps", required=True, help="a number, or auto[:c]")
+    p.add_argument("--eps", required=True,
+                   help="auto, auto:<c>, fixed:<x> or a number <x>")
     p.add_argument("--kernel", default="indicator")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_interp)

@@ -2,8 +2,10 @@
 
 Edges carry weight eta(dist/eps) and vanish beyond ambient distance eps.
 The diagonal K_ii = eta(0) is kept; it cancels in L but enters D, and the
-normalized eigenproblem uses that D.  Neighbor search is a uniform spatial
-grid of cell size eps, with an all-pairs fallback for small clouds.
+normalized eigenproblem uses that D.  Candidate pairs come from a
+k-d tree (scipy's cKDTree) queried at a radius a hair above eps; the exact
+chord test `|x_i - x_j| <= eps` then decides, so a pair at exactly eps is
+an edge.  Components are counted with scipy's csgraph.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EmptyCloud
 from .kernels import KernelProfile
 from .manifolds import PointCloud
-
-ALL_PAIRS_MAX_N = 512
 
 METRIC_AMBIENT = "ambient"
 METRIC_INTRINSIC = "intrinsic"
@@ -43,38 +45,6 @@ class NeighborhoodGraph:
         return np.stack([coo.row[order], coo.col[order], coo.data[order]], axis=-1)
 
 
-def _candidate_pairs_grid(points: np.ndarray, eps: float):
-    """Index pairs (i < j) with a chance of being within eps (grid bucketing)."""
-    cells = np.floor(points / eps).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    cells_sorted = cells[order]
-    uniq, starts = np.unique(cells_sorted, axis=0, return_index=True)
-    groups = np.split(order, starts[1:])
-    lookup = {tuple(c): g for c, g in zip(uniq, groups)}
-    dim = points.shape[1]
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij"),
-                       axis=-1).reshape(-1, dim)
-    offsets = [tuple(o) for o in offsets if tuple(o) >= tuple([0] * dim)]
-    rows, cols = [], []
-    for key in sorted(lookup):
-        a = lookup[key]
-        for off in offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            b = lookup.get(nb)
-            if b is None:
-                continue
-            if nb == key:
-                ii, jj = np.triu_indices(a.size, k=1)
-                rows.append(a[ii])
-                cols.append(a[jj])
-            else:
-                rows.append(np.repeat(a, b.size))
-                cols.append(np.tile(b, a.size))
-    if not rows:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(cols)
-
-
 def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
                 metric: str = METRIC_AMBIENT) -> NeighborhoodGraph:
     """Assemble K, D for the cloud at scale eps.
@@ -94,10 +64,10 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
 
     pts = cloud.ambient
     n = cloud.n
-    if n <= ALL_PAIRS_MAX_N:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        ii, jj = _candidate_pairs_grid(pts, eps)
+    # the tree rounds distances its own way and can drop a pair whose chord,
+    # as computed below, is exactly eps: query a hair wider, the chord decides
+    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
+    ii, jj = pairs[:, 0], pairs[:, 1]
     chord = np.linalg.norm(pts[ii] - pts[jj], axis=-1)
     keep = chord <= eps
     ii, jj, chord = ii[keep], jj[keep], chord[keep]
@@ -136,6 +106,21 @@ def epsilon_schedule(n, m: int, scale_c: float = 1.0) -> float:
     return scale_c * (math.log(n) / n) ** (1.0 / (m + 2))
 
 
+def eps_from_rule(rule: str, n: int, m: int) -> float:
+    """Resolve an eps rule: auto, auto:<c> (the schedule times c), fixed:<x> or <x>."""
+    if rule == "auto":
+        return epsilon_schedule(n, m)
+    head, sep, value = rule.partition(":")
+    try:
+        x = float(value if head in ("auto", "fixed") and sep else rule)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"bad eps rule {rule!r}; use auto, auto:<c>, fixed:<x> or <x>"
+                         " with a positive finite number")
+    return epsilon_schedule(n, m, x) if head == "auto" else x
+
+
 @dataclass(frozen=True)
 class ConnectivityReport:
     components: int
@@ -143,23 +128,11 @@ class ConnectivityReport:
 
 
 def connectivity_report(graph: NeighborhoodGraph) -> ConnectivityReport:
-    """Union-find component count over positive off-diagonal edges, plus min degree."""
-    parent = np.arange(graph.n)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    coo = graph.kernel_matrix.tocoo()
+    """Component count over positive off-diagonal edges, plus min degree."""
+    kmat = graph.kernel_matrix
+    comps, _ = connected_components(kmat > 0, directed=False)
+    coo = kmat.tocoo()
     off = (coo.row != coo.col) & (coo.data > 0)
     neighbor_counts = np.bincount(coo.row[off], minlength=graph.n)
-    for a, b in zip(coo.row[off], coo.col[off]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    comps = sum(1 for i in range(graph.n) if find(i) == i)
-    return ConnectivityReport(components=comps, min_degree=int(neighbor_counts.min()))
+    return ConnectivityReport(components=int(comps),
+                              min_degree=int(neighbor_counts.min()))

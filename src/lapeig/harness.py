@@ -20,7 +20,7 @@ import numpy as np
 
 from . import interp, singular
 from .errors import GapViolation, InsufficientGrid, LapeigError
-from .graph import build_graph, epsilon_schedule
+from .graph import build_graph, eps_from_rule
 from .kernels import parse_kernel, sigma_eta, sigma_tilde_eta
 from .manifolds import (NORMALIZED, WEIGHTED, analytic_spectrum, make_manifold,
                         oracle_spectrum_circle_weighted, parse_density, sample_iid)
@@ -75,16 +75,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
 
 
-def _eps_for(config: ExperimentConfig, n: int, m: int) -> float:
-    rule = config.eps_rule
-    if rule.startswith("auto"):
-        c = float(rule.split(":", 1)[1]) if ":" in rule else 1.0
-        return epsilon_schedule(n, m, c)
-    if rule.startswith("fixed:"):
-        return float(rule.split(":", 1)[1])
-    raise ValueError(f"unknown eps rule {rule!r}")
-
-
 def target_spectrum(config: ExperimentConfig):
     """Eigenvalue targets for a config: closed form, or the 1-D circle oracle."""
     model = make_manifold(config.manifold, parse_density(config.density))
@@ -132,7 +122,7 @@ def _run_trial(config: ExperimentConfig, model, kernel, targets, n: int,
     m = model.m
     seed = splitmix64(config.master_seed, n, trial)
     cloud = sample_iid(model, n, seed)
-    eps = _eps_for(config, n, m)
+    eps = eps_from_rule(config.eps_rule, n, m)
     graph = build_graph(cloud, kernel, eps, metric=config.metric)
     sig = sigma_eta(kernel, m)
     if config.mode == MODE_UNNORMALIZED:
@@ -267,7 +257,7 @@ def run_eigvec_alignment(config: ExperimentConfig, k: int, l: int) -> AlignmentS
     for trial in range(config.trials):
         seed = splitmix64(config.master_seed, n, trial, 0xA116)
         cloud = sample_iid(model, n, seed)
-        eps = _eps_for(config, n, m)
+        eps = eps_from_rule(config.eps_rule, n, m)
         graph = build_graph(cloud, kernel, eps, metric=config.metric)
         if config.mode == MODE_UNNORMALIZED:
             spec = unnormalized_spectrum(graph, config.k_max)

@@ -115,9 +115,6 @@ class _BaseModel:
     def embed(self, params) -> np.ndarray:
         raise NotImplementedError
 
-    def cross_distances(self, pa, pb) -> np.ndarray:
-        raise NotImplementedError
-
     def sample_params(self, n: int, rng) -> np.ndarray:
         raise NotImplementedError
 
@@ -130,8 +127,13 @@ class _BaseModel:
         raise NotImplementedError
 
     def pair_distances(self, pa, pb) -> np.ndarray:
-        """Elementwise intrinsic distance for paired chart points."""
+        """Intrinsic distance for paired chart points; broadcasts."""
         raise NotImplementedError
+
+    def cross_distances(self, pa, pb) -> np.ndarray:
+        """Intrinsic distance from every point of pa to every point of pb."""
+        return self.pair_distances(np.asarray(pa, dtype=float)[:, None],
+                                   np.asarray(pb, dtype=float)[None, :])
 
     def distance(self, p, q) -> float:
         pa = np.asarray(p, dtype=float)[None] if self.m == 1 else np.atleast_2d(p)
@@ -147,6 +149,15 @@ class _BaseModel:
 
     def bilipschitz_bound(self) -> float:
         return math.pi / 2.0
+
+    def _bilipschitz_on(self, params) -> float:
+        """(pi/2) times the largest intrinsic/chord ratio over pairs of params."""
+        x = self.embed(params)
+        chord = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        intr = self.cross_distances(params, params)
+        np.fill_diagonal(chord, 1.0)
+        np.fill_diagonal(intr, 0.0)
+        return (math.pi / 2.0) * float(np.max(intr / chord))
 
     def sample(self, n: int, seed: int) -> PointCloud:
         if n < 1:
@@ -196,10 +207,6 @@ class UnitCircle(_BaseModel):
     def embed(self, params):
         theta = np.asarray(params, dtype=float)
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-    def cross_distances(self, pa, pb):
-        return _angdist(np.asarray(pa, dtype=float)[:, None],
-                        np.asarray(pb, dtype=float)[None, :])
 
     def pair_distances(self, pa, pb):
         return _angdist(np.asarray(pa, dtype=float), np.asarray(pb, dtype=float))
@@ -254,17 +261,11 @@ class CliffordTorus(_BaseModel):
         return np.stack([np.cos(p[:, 0]), np.sin(p[:, 0]),
                          np.cos(p[:, 1]), np.sin(p[:, 1])], axis=-1)
 
-    def cross_distances(self, pa, pb):
-        pa = np.atleast_2d(pa)
-        pb = np.atleast_2d(pb)
-        d1 = _angdist(pa[:, None, 0], pb[None, :, 0])
-        d2 = _angdist(pa[:, None, 1], pb[None, :, 1])
-        return np.hypot(d1, d2)
-
     def pair_distances(self, pa, pb):
         pa = np.atleast_2d(pa)
         pb = np.atleast_2d(pb)
-        return np.hypot(_angdist(pa[:, 0], pb[:, 0]), _angdist(pa[:, 1], pb[:, 1]))
+        return np.hypot(_angdist(pa[..., 0], pb[..., 0]),
+                        _angdist(pa[..., 1], pb[..., 1]))
 
     def sample_params(self, n, rng):
         return rng.uniform(0.0, TWO_PI, (n, 2))
@@ -304,19 +305,12 @@ class UnitSphere(_BaseModel):
 
     def embed(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
-        st = np.sin(p[:, 0])
-        out = np.stack([st * np.cos(p[:, 1]), st * np.sin(p[:, 1]), np.cos(p[:, 0])],
-                       axis=-1)
-        return out
-
-    def cross_distances(self, pa, pb):
-        # half-chord form: stable near zero and consistent with the embedding
-        xa = self.embed(pa)
-        xb = self.embed(pb)
-        chord = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=-1)
-        return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+        st = np.sin(p[..., 0])
+        return np.stack([st * np.cos(p[..., 1]), st * np.sin(p[..., 1]),
+                         np.cos(p[..., 0])], axis=-1)
 
     def pair_distances(self, pa, pb):
+        # half-chord form: stable near zero and consistent with the embedding
         chord = np.linalg.norm(self.embed(pa) - self.embed(pb), axis=-1)
         return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
 
@@ -369,12 +363,6 @@ class SquareBoundary(_BaseModel):
     def embed(self, params):
         return _sing.square_boundary_point(params)
 
-    def cross_distances(self, pa, pb):
-        sa = (2.0 / math.pi) * np.asarray(pa, dtype=float) % 4.0
-        sb = (2.0 / math.pi) * np.asarray(pb, dtype=float) % 4.0
-        d = np.abs(sa[:, None] - sb[None, :]) % 4.0
-        return np.minimum(d, 4.0 - d)
-
     def pair_distances(self, pa, pb):
         sa = (2.0 / math.pi) * np.asarray(pa, dtype=float) % 4.0
         sb = (2.0 / math.pi) * np.asarray(pb, dtype=float) % 4.0
@@ -394,12 +382,7 @@ class SquareBoundary(_BaseModel):
     def bilipschitz_bound(self):
         if self._bilip is None:
             theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-            chord = np.linalg.norm(self.embed(theta)[:, None, :]
-                                   - self.embed(theta)[None, :, :], axis=-1)
-            intr = self.cross_distances(theta, theta)
-            np.fill_diagonal(chord, 1.0)
-            np.fill_diagonal(intr, 0.0)
-            self._bilip = (math.pi / 2.0) * float(np.max(intr / chord))
+            self._bilip = self._bilipschitz_on(theta)
         return self._bilip
 
     def chart_grid(self, resolution):
@@ -468,22 +451,13 @@ class SingularSurface(_BaseModel):
         p = np.atleast_2d(np.asarray(params, dtype=float))
         return _sing.singular_embedding(self.profile, self.m2_radius, p[:, 0], p[:, 1])
 
-    def cross_distances(self, pa, pb):
-        pa = np.atleast_2d(pa)
-        pb = np.atleast_2d(pb)
-        sa = self.curve_arclength(pa[:, 0])
-        sb = self.curve_arclength(pb[:, 0])
-        dc = np.abs(sa[:, None] - sb[None, :])
-        dc = np.minimum(dc, self._length - dc)
-        d2 = self.m2_radius * _angdist(pa[:, None, 1], pb[None, :, 1])
-        return np.hypot(dc, d2)
-
     def pair_distances(self, pa, pb):
+        # arc length per point, then broadcast: never per (q, n) pair
         pa = np.atleast_2d(pa)
         pb = np.atleast_2d(pb)
-        dc = np.abs(self.curve_arclength(pa[:, 0]) - self.curve_arclength(pb[:, 0]))
+        dc = np.abs(self.curve_arclength(pa[..., 0]) - self.curve_arclength(pb[..., 0]))
         dc = np.minimum(dc, self._length - dc)
-        return np.hypot(dc, self.m2_radius * _angdist(pa[:, 1], pb[:, 1]))
+        return np.hypot(dc, self.m2_radius * _angdist(pa[..., 1], pb[..., 1]))
 
     def sample_params(self, n, rng):
         xs = np.empty(0)
@@ -502,13 +476,8 @@ class SingularSurface(_BaseModel):
     def bilipschitz_bound(self):
         if self._bilip is None:
             rng = np.random.default_rng(1234)
-            p = np.stack([rng.random(512), rng.uniform(0, TWO_PI, 512)], axis=-1)
-            chord = np.linalg.norm(self.embed(p)[:, None, :]
-                                   - self.embed(p)[None, :, :], axis=-1)
-            intr = self.cross_distances(p, p)
-            np.fill_diagonal(chord, 1.0)
-            np.fill_diagonal(intr, 0.0)
-            self._bilip = (math.pi / 2.0) * float(np.max(intr / chord))
+            self._bilip = self._bilipschitz_on(
+                np.stack([rng.random(512), rng.uniform(0, TWO_PI, 512)], axis=-1))
         return self._bilip
 
     def chart_grid(self, resolution):

@@ -65,7 +65,7 @@ def _smallest_eigenpairs(mat: sparse.spmatrix, count: int,
     v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
     try:
         vals, vecs = eigsh(mat.tocsc(), k=count, sigma=sigma, which="LM", v0=v0)
-    except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
+    except (ArpackError, ArpackNoConvergence, RuntimeError, MemoryError) as exc:
         raise SolverFailure(str(exc)) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]

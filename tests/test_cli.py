@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lapeig import spectral
 from lapeig.cli import main
 
 
@@ -121,3 +122,31 @@ def test_validation_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["kernel-info", "--kernel", "boxcar", "--m", "1"]) == 2
     assert run(["sensitivity", "--m", "3", "--out", str(tmp_path / "s.csv")]) == 2
+
+
+def test_eps_rule_forms(tmp_path):
+    cloud_path = tmp_path / "cloud.json"
+    assert run(["sample", "--manifold", "circle", "--n", "200", "--seed", "3",
+                "--out", str(cloud_path)]) == 0
+    assert run(["graph", "--in", str(cloud_path), "--eps", "autox",
+                "--out", str(tmp_path / "bad.json")]) == 2
+    fixed, plain = tmp_path / "fixed.json", tmp_path / "plain.json"
+    for rule, out in (("fixed:0.3", fixed), ("0.3", plain)):
+        assert run(["graph", "--in", str(cloud_path), "--eps", rule,
+                    "--out", str(out)]) == 0
+    assert fixed.read_bytes() == plain.read_bytes()
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
+    cloud_path = tmp_path / "cloud.json"
+    graph_path = tmp_path / "graph.json"
+    assert run(["sample", "--manifold", "circle", "--n", "1100", "--seed", "3",
+                "--out", str(cloud_path)]) == 0
+    assert run(["graph", "--in", str(cloud_path), "--eps", "auto",
+                "--out", str(graph_path)]) == 0
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spectral, "eigsh", out_of_memory)
+    assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3

@@ -51,14 +51,25 @@ def test_degrees_dominate_positive_diagonal():
         assert np.all(g.degrees >= diag)
 
 
-def test_sparse_equals_dense_bruteforce():
-    cloud = M.sample_iid(M.UnitCircle(), 700, 3)  # above the all-pairs cutoff
-    eps = G.epsilon_schedule(700, 1)
+@pytest.mark.parametrize("name", ["circle", "sphere", "torus", "singular"])
+def test_sparse_equals_dense_bruteforce(name):
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 700, 3)
+    eps = G.epsilon_schedule(700, model.m)
     g = G.build_graph(cloud, IND, eps)
     pts = cloud.ambient
     dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     dense = np.where(dm <= eps, 1.0, 0.0)
     assert np.array_equal(g.kernel_matrix.toarray(), dense)
+
+
+def test_pair_at_exactly_eps_is_kept():
+    # the tree's own distance for this pair rounds above the chord, so a
+    # pair search at radius eps alone would miss the edge
+    pts = np.random.default_rng(4).random((2, 3))
+    eps = float(np.linalg.norm(pts[[0]] - pts[[1]], axis=-1)[0])
+    g = G.build_graph(M.ambient_cloud(pts), IND, eps)
+    assert np.array_equal(g.kernel_matrix.toarray(), np.ones((2, 2)))
 
 
 def test_sparse_equals_dense_small_cloud():
@@ -117,6 +128,16 @@ def test_epsilon_schedule_values():
         (math.log(1000) / 1000) ** (1.0 / 3.0), abs=1e-12)
     assert G.epsilon_schedule(500, 2, 2.0) == pytest.approx(
         2.0 * G.epsilon_schedule(500, 2), rel=1e-14)
+
+
+def test_eps_from_rule_forms():
+    assert G.eps_from_rule("auto", 500, 2) == G.epsilon_schedule(500, 2)
+    assert G.eps_from_rule("auto:2", 500, 2) == G.epsilon_schedule(500, 2, 2.0)
+    assert G.eps_from_rule("fixed:0.3", 500, 2) == 0.3
+    assert G.eps_from_rule("0.3", 500, 2) == 0.3
+    for bad in ("autox", "auto:", "fixed", "fixed:x", "1:2", "-1", "0", "nan", "inf"):
+        with pytest.raises(ValueError):
+            G.eps_from_rule(bad, 500, 2)
 
 
 def test_connectivity_report():

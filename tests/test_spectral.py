@@ -9,7 +9,7 @@ from lapeig import kernels as K
 from lapeig import manifolds as M
 from lapeig import spectral as S
 from lapeig.errors import (DegenerateBasis, FExceedsOne, GapViolation,
-                           KTooLarge, ZeroVector)
+                           KTooLarge, SolverFailure, ZeroVector)
 
 IND = K.indicator_kernel()
 
@@ -306,3 +306,15 @@ def test_grid_supremum_matches_exact_pencil():
     grid_sup, _ = S._grid_supremum(obj, 2, 512)
     pencil = sla.eigh(a3, b3, eigvals_only=True)
     assert grid_sup == pytest.approx(math.sqrt(max(pencil)), rel=1e-4)
+
+
+def test_memory_error_becomes_solver_failure(monkeypatch):
+    # SuperLU reports a failed factorization as a bare MemoryError
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(S, "eigsh", out_of_memory)
+    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
+    g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
+    with pytest.raises(SolverFailure):
+        S.unnormalized_spectrum(g, 4)
