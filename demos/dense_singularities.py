@@ -50,8 +50,6 @@ for c in (1.0, 2.0):
     comps = G.connectivity_report(graph).components
     print(f"c={c}: eps={eps:.4f} -> {comps} component(s)")
 
-spec = S.unnormalized_spectrum(graph, 4)
-rescaled = S.rescale_unnormalized(spec.values, 2048, eps,
-                                  K.sigma_eta(K.indicator_kernel(), 2), 2)
+_, rescaled = S.graph_spectrum(graph, 4, S.MODE_UNNORMALIZED, K.indicator_kernel(), 2)
 print("rescaled low spectrum (no closed form exists; the graph is the estimate):")
 print(" ", np.round(rescaled, 5))

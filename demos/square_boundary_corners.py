@@ -32,8 +32,7 @@ cloud = M.sample_iid(model, 4096, seed=5)
 eps = G.epsilon_schedule(4096, 1)
 graph = G.build_graph(cloud, K.indicator_kernel(), eps)
 print(f"  eps={eps:.4f}, components={G.connectivity_report(graph).components}")
-spec = S.unnormalized_spectrum(graph, 4)
-rescaled = S.rescale_unnormalized(spec.values, 4096, eps, K.sigma_eta(K.indicator_kernel(), 1), 1)
+_, rescaled = S.graph_spectrum(graph, 4, S.MODE_UNNORMALIZED, K.indicator_kernel(), 1)
 targets = M.analytic_spectrum(model, "weighted", 4)
 for k in range(5):
     print(f"  k={k}: rescaled={rescaled[k]:.5f} target={targets[k]:.5f}")

@@ -1,6 +1,7 @@
 """Command-line interface: lap-eig <subcommand>.
 
-Exit codes: 0 on success, 2 on a validation error, 3 on solver failure.
+Exit codes: 0 on success, 2 on a validation error (a graph with more than
+one component among them), 3 on solver failure.
 File formats are plain JSON/CSV so downstream plotting stays decoupled.
 """
 
@@ -18,10 +19,9 @@ from scipy import sparse
 from . import harness, singular
 from .errors import LapeigError, SolverFailure
 from .graph import NeighborhoodGraph, build_graph, eps_from_rule
-from .kernels import kernel_constants, parse_kernel, sigma_eta, sigma_tilde_eta
+from .kernels import kernel_constants, parse_kernel
 from .manifolds import PointCloud, make_manifold, parse_density, sample_iid
-from .spectral import (normalized_spectrum, rescale_normalized,
-                       rescale_unnormalized, unnormalized_spectrum)
+from .spectral import MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum
 
 
 def _write_json(obj, path: str | None):
@@ -109,17 +109,8 @@ def _cmd_graph(args) -> int:
 def _cmd_spectrum(args) -> int:
     with open(args.infile) as fh:
         graph, m = _graph_from_json(json.load(fh))
-    kernel = parse_kernel(graph.kernel_id)
-    sig = sigma_eta(kernel, m)
-    if args.normalized:
-        spec = normalized_spectrum(graph, args.k, kernel=kernel, m=m)
-        rescaled = rescale_normalized(spec.values, graph.eps, sig,
-                                      sigma_tilde_eta(kernel, m))
-        mode = "normalized"
-    else:
-        spec = unnormalized_spectrum(graph, args.k)
-        rescaled = rescale_unnormalized(spec.values, graph.n, graph.eps, sig, m)
-        mode = "unnormalized"
+    mode = MODE_NORMALIZED if args.normalized else MODE_UNNORMALIZED
+    spec, rescaled = graph_spectrum(graph, args.k, mode, parse_kernel(graph.kernel_id), m)
     _write_json({"mode": mode, "k": args.k,
                  "values": [float(v) for v in spec.values],
                  "rescaled": [float(v) for v in rescaled],
@@ -140,6 +131,8 @@ def _cmd_converge(args) -> int:
     for n in sorted(med):
         print(f"n={n}: median rel error {med[n][0]:.4f} (IQR {med[n][1]:.4f})",
               file=sys.stderr)
+    for n, trial, msg in report.failures:
+        print(f"n={n} trial={trial} failed: {msg}", file=sys.stderr)
     return 0
 
 
@@ -176,6 +169,8 @@ def _cmd_interp(args) -> int:
     if not args.query.startswith("grid:"):
         raise LapeigError(f"unknown query spec {args.query!r}; use grid:<N>")
     count = int(args.query.split(":", 1)[1])
+    if count < 1:
+        raise LapeigError(f"query grid needs at least one point, got {count}")
     if cloud.model.m != 1:
         raise LapeigError("interp query grids are built for 1-D chart models")
     theta = (np.arange(count) + 0.5) * 2.0 * math.pi / count
@@ -264,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", default="circle")
     p.add_argument("--density", default="const")
     p.add_argument("--kernel", default="indicator")
-    p.add_argument("--mode", default="unnormalized",
-                   choices=["unnormalized", "normalized"])
+    p.add_argument("--mode", default=MODE_UNNORMALIZED,
+                   choices=[MODE_UNNORMALIZED, MODE_NORMALIZED])
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--n-grid", default="512,1024,2048,4096")
     p.add_argument("--trials", type=int, default=20)

@@ -33,6 +33,10 @@ class SolverFailure(LapeigError):
     """The eigenvalue solver did not converge."""
 
 
+class DisconnectedGraph(LapeigError):
+    """More than one eigenvalue of the graph problem is numerically zero."""
+
+
 class KTooLarge(LapeigError):
     """More eigenpairs requested than the matrix admits."""
 

@@ -21,15 +21,11 @@ import numpy as np
 from . import interp, singular
 from .errors import GapViolation, InsufficientGrid, LapeigError
 from .graph import build_graph, eps_from_rule
-from .kernels import parse_kernel, sigma_eta, sigma_tilde_eta
+from .kernels import parse_kernel
 from .manifolds import (NORMALIZED, WEIGHTED, analytic_spectrum, make_manifold,
                         oracle_spectrum_circle_weighted, parse_density, sample_iid)
-from .spectral import (normalized_spectrum, rescale_normalized,
-                       rescale_unnormalized, subspace_alignment,
-                       unnormalized_spectrum)
-
-MODE_UNNORMALIZED = "unnormalized"
-MODE_NORMALIZED = "normalized"
+from .spectral import (MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum,
+                       subspace_alignment)
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,26 +113,25 @@ class ConvergenceReport:
         return out
 
 
+def solve_trial(config: ExperimentConfig, model, kernel, n: int, seed: int):
+    """The one sample -> eps -> build -> solve path: (cloud, graph, spectrum, rescaled)."""
+    cloud = sample_iid(model, n, seed)
+    eps = eps_from_rule(config.eps_rule, n, model.m)
+    graph = build_graph(cloud, kernel, eps, metric=config.metric)
+    spec, rescaled = graph_spectrum(graph, config.k_max, config.mode, kernel, model.m)
+    return cloud, graph, spec, rescaled
+
+
 def _run_trial(config: ExperimentConfig, model, kernel, targets, n: int,
                trial: int) -> list[TrialRow]:
-    m = model.m
-    seed = splitmix64(config.master_seed, n, trial)
-    cloud = sample_iid(model, n, seed)
-    eps = eps_from_rule(config.eps_rule, n, m)
-    graph = build_graph(cloud, kernel, eps, metric=config.metric)
-    sig = sigma_eta(kernel, m)
-    if config.mode == MODE_UNNORMALIZED:
-        spec = unnormalized_spectrum(graph, config.k_max)
-        rescaled = rescale_unnormalized(spec.values, n, eps, sig, m)
-    else:
-        spec = normalized_spectrum(graph, config.k_max, kernel=kernel, m=m)
-        rescaled = rescale_normalized(spec.values, eps, sig, sigma_tilde_eta(kernel, m))
+    _, graph, spec, rescaled = solve_trial(config, model, kernel, n,
+                                           splitmix64(config.master_seed, n, trial))
     rows = []
     for k in range(config.k_max + 1):
         tgt = float(targets[k])
         resc = float(rescaled[k])
         err = abs(resc - tgt) / abs(tgt) if tgt != 0.0 else abs(resc - tgt)
-        rows.append(TrialRow(n=n, trial=trial, k=k, eps=eps, raw=float(spec.values[k]),
+        rows.append(TrialRow(n=n, trial=trial, k=k, eps=graph.eps, raw=float(spec.values[k]),
                              rescaled=resc, target=tgt, rel_error=err))
     return rows
 
@@ -253,16 +248,9 @@ def run_eigvec_alignment(config: ExperimentConfig, k: int, l: int) -> AlignmentS
     kernel = parse_kernel(config.kernel)
     out = AlignmentSummary(config=config, block=(k, l), gap=gap)
     n = config.n_grid[-1]
-    m = model.m
     for trial in range(config.trials):
-        seed = splitmix64(config.master_seed, n, trial, 0xA116)
-        cloud = sample_iid(model, n, seed)
-        eps = eps_from_rule(config.eps_rule, n, m)
-        graph = build_graph(cloud, kernel, eps, metric=config.metric)
-        if config.mode == MODE_UNNORMALIZED:
-            spec = unnormalized_spectrum(graph, config.k_max)
-        else:
-            spec = normalized_spectrum(graph, config.k_max, kernel=kernel, m=m)
+        cloud, _, spec, _ = solve_trial(config, model, kernel, n,
+                                        splitmix64(config.master_seed, n, trial, 0xA116))
         basis_a = np.stack([interp.restrict(f, cloud) for f in funcs], axis=1)
         basis_b = spec.vectors[:, k:l + 1]
         rep = subspace_alignment(basis_a, basis_b, weights=spec.weights)

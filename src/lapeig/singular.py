@@ -99,8 +99,8 @@ class SensitivityConfig:
         grid = tuple(float(e) for e in self.eps_grid)
         if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
-        if any(e >= 1.0 for e in grid):
-            raise ValueError("every eps must be below the face length 1")
+        if not all(0.0 < e < 1.0 for e in grid):
+            raise ValueError("every eps must be positive and below the face length 1")
         object.__setattr__(self, "eps_grid", grid)
 
 
@@ -129,8 +129,8 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     accepted once doubling the resolution changes it by less than ``rtol``
     relatively, else QuadratureNotConverged is raised.
     """
-    if eps >= 1.0:
-        raise ValueError("eps must be below the face length 1")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be positive and below the face length 1")
     theta1_0, theta2_0 = float(z0[0]), float(z0[1])
     r = config.m2_radius
     n0 = max(64, config.quad_resolution)
@@ -236,33 +236,44 @@ class DyadicProfile:
         return np.arange(2 ** self.level + 1) / 2.0 ** self.level
 
 
-def dyadic_profile(theta: Callable[[int], float], level: int) -> DyadicProfile:
-    """Fill the bump values up to ``level`` by the two midpoint recursions.
+def _bump_recursion(theta: Callable[[int], object], level: int,
+                    number: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(theta values for levels 2..level, bump values on the level grid).
 
     Level 0 is (0, 0); level 1 pins the center to 1; each later level keeps
     earlier values and inserts the new quarter points as fixed convex
     combinations of their three even neighbors, weighted by theta(level).
+    All arithmetic is that of ``number``: float64 arrays for float, object
+    arrays for Fraction.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     if level > MAX_DYADIC_LEVEL:
         raise LevelTooDeep(f"level {level} exceeds the guard {MAX_DYADIC_LEVEL}")
-    thetas = np.array([float(theta(l)) for l in range(2, level + 1)])
-    if np.any(thetas <= 0.0):
+    thetas = np.array([number(theta(l)) for l in range(2, level + 1)])
+    if np.any(thetas <= 0):
         raise ValueError("theta(l) must be positive")
-    a = np.array([0.0, 1.0, 0.0])
-    for n in range(2, level + 1):
-        th = float(theta(n))
+    a = np.array([number(0), number(1), number(0)])
+    for n, th in enumerate(thetas, start=2):
         prev = a
-        a = np.empty(2 ** n + 1)
+        a = np.empty(2 ** n + 1, dtype=prev.dtype)
         a[::2] = prev
-        k = np.arange(1, 2 ** (n - 2) + 1)
-        a[4 * k - 3] = (th / 4.0 * prev[2 * k]
-                        + (1.0 - th) / 2.0 * prev[2 * k - 1]
-                        + (2.0 + th) / 4.0 * prev[2 * k - 2])
-        a[4 * k - 1] = (th / 4.0 * prev[2 * k - 2]
-                        + (1.0 - th) / 2.0 * prev[2 * k - 1]
-                        + (2.0 + th) / 4.0 * prev[2 * k])
+        # new points 4k-3 and 4k-1 sit between the even neighbors 2k-2 and 2k
+        left, mid, right = prev[:-1:2], prev[1::2], prev[2::2]
+        a[1::4] = th / 4 * right + (1 - th) / 2 * mid + (2 + th) / 4 * left
+        a[3::4] = th / 4 * left + (1 - th) / 2 * mid + (2 + th) / 4 * right
+    return thetas, a
+
+
+def _slopes_and_jumps(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope per grid interval and its jump at each grid point (periodic)."""
+    d = (alpha[1:] - alpha[:-1]) * (alpha.size - 1)
+    return d, d - np.roll(d, 1)
+
+
+def dyadic_profile(theta: Callable[[int], float], level: int) -> DyadicProfile:
+    """Fill the bump values up to ``level`` by the two midpoint recursions."""
+    thetas, a = _bump_recursion(theta, level, float)
     return DyadicProfile(level=level, alpha=a, theta_values=thetas,
                          theta_sum=float(thetas.sum()))
 
@@ -275,34 +286,13 @@ def dyadic_profile_exact(theta: Callable[[int], object], level: int) -> list[Fra
     non-vanishing need exact arithmetic.  ``theta(l)`` must be convertible
     to Fraction (dyadic floats such as 2**-l convert exactly).
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    if level > MAX_DYADIC_LEVEL:
-        raise LevelTooDeep(f"level {level} exceeds the guard {MAX_DYADIC_LEVEL}")
-    a = [Fraction(0), Fraction(1), Fraction(0)]
-    for n in range(2, level + 1):
-        th = Fraction(theta(n))
-        if th <= 0:
-            raise ValueError("theta(l) must be positive")
-        prev = a
-        a = [Fraction(0)] * (2 ** n + 1)
-        a[::2] = prev
-        for k in range(1, 2 ** (n - 2) + 1):
-            a[4 * k - 3] = (th / 4 * prev[2 * k]
-                            + (1 - th) / 2 * prev[2 * k - 1]
-                            + (2 + th) / 4 * prev[2 * k - 2])
-            a[4 * k - 1] = (th / 4 * prev[2 * k - 2]
-                            + (1 - th) / 2 * prev[2 * k - 1]
-                            + (2 + th) / 4 * prev[2 * k])
-    return a
+    return list(_bump_recursion(theta, level, Fraction)[1])
 
 
 def dyadic_slopes_exact(alpha: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Exact slopes and jumps (periodic convention) for exact bump values."""
-    n_seg = len(alpha) - 1
-    d = [(alpha[k + 1] - alpha[k]) * n_seg for k in range(n_seg)]
-    e = [d[k] - d[k - 1] for k in range(n_seg)]
-    return d, e
+    d, e = _slopes_and_jumps(np.array(alpha, dtype=object))
+    return list(d), list(e)
 
 
 def level_alpha(profile: DyadicProfile, level: int) -> np.ndarray:
@@ -330,9 +320,7 @@ def dyadic_slopes(profile: DyadicProfile, level: int | None = None) -> SlopeData
     ``slopes[-1] = slopes[last]``, matching the periodic extension.
     """
     n = profile.level if level is None else level
-    a = level_alpha(profile, n)
-    d = (a[1:] - a[:-1]) * 2.0 ** n
-    e = d - np.roll(d, 1)
+    d, e = _slopes_and_jumps(level_alpha(profile, n))
     return SlopeData(level=n, slopes=d, jumps=e, total_jump=float(np.abs(e).sum()))
 
 

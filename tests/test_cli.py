@@ -95,6 +95,9 @@ def test_interp_command(tmp_path):
     assert rows[0] == ["theta", "value"]
     assert len(rows) == 65
     assert all(float(v) == 1.0 for _, v in rows[1:])
+    for empty in ("grid:0", "grid:-2"):
+        assert run(["interp", "--cloud", str(cloud_path), "--u", str(values_path),
+                    "--query", empty, "--eps", "auto:1", "--out", str(out)]) == 2
 
 
 def test_dyadic_command(tmp_path):
@@ -122,6 +125,9 @@ def test_validation_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["kernel-info", "--kernel", "boxcar", "--m", "1"]) == 2
     assert run(["sensitivity", "--m", "3", "--out", str(tmp_path / "s.csv")]) == 2
+    for grid in ("0.2,0", "0.2,-0.1"):
+        assert run(["sensitivity", "--eps-grid", grid, "--quad", "64",
+                    "--out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_eps_rule_forms(tmp_path):
@@ -135,6 +141,28 @@ def test_eps_rule_forms(tmp_path):
         assert run(["graph", "--in", str(cloud_path), "--eps", rule,
                     "--out", str(out)]) == 0
     assert fixed.read_bytes() == plain.read_bytes()
+
+
+def test_disconnected_graph(tmp_path):
+    # eps = 0.05 leaves these circle samples in dozens of components
+    out = tmp_path / "r.json"
+    assert run(["converge", "--n-grid", "128,256", "--trials", "2", "--k-max", "2",
+                "--eps", "fixed:0.05", "--seed", "1", "--format", "json",
+                "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["rows"] == []
+    assert [f[:2] for f in obj["failures"]] == [[128, 0], [128, 1], [256, 0], [256, 1]]
+
+    cloud_path = tmp_path / "cloud.json"
+    graph_path = tmp_path / "graph.json"
+    assert run(["sample", "--manifold", "circle", "--n", "128", "--seed", "1",
+                "--out", str(cloud_path)]) == 0
+    assert run(["graph", "--in", str(cloud_path), "--eps", "0.05",
+                "--out", str(graph_path)]) == 0
+    for flags in ([], ["--normalized"]):
+        assert run(["spectrum", "--in", str(graph_path), "--k", "2"] + flags) == 2
+    assert run(["align", "--n", "256", "--trials", "1", "--eps", "fixed:0.05",
+                "--out", str(tmp_path / "align.json")]) == 2
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

@@ -55,6 +55,11 @@ def test_sensitivity_config_validation():
         S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.1, 0.2))
     with pytest.raises(ValueError):
         S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(1.5, 0.2))
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2, bad))
+        with pytest.raises(ValueError):
+            S.sensitivity_operator(CFG, lambda t1, t2: np.sin(t1), (0.7, 0.0), bad)
 
 
 def test_sensitivity_constant_function():
@@ -234,6 +239,20 @@ def test_dyadic_jumps_never_vanish_exact():
         stride = 2 ** (12 - level)
         _, jumps = S.dyadic_slopes_exact(exact[::stride])
         assert all(j != 0 for j in jumps)
+
+
+def test_dyadic_exact_path_matches_float_path():
+    exact = S.dyadic_profile_exact(lambda l: Fraction(1, 2 ** l), 8)
+    assert all(type(v) is Fraction for v in exact)
+    prof = S.dyadic_profile(S.geometric_theta(0.5), 8)
+    assert np.allclose([float(v) for v in exact], prof.alpha, rtol=0.0, atol=1e-15)
+    d, e = S.dyadic_slopes_exact(exact)
+    data = S.dyadic_slopes(prof)
+    assert np.allclose([float(v) for v in d], data.slopes, rtol=0.0, atol=1e-12)
+    assert np.allclose([float(v) for v in e], data.jumps, rtol=0.0, atol=1e-12)
+    for build in (S.dyadic_profile, S.dyadic_profile_exact):
+        with pytest.raises(ValueError):
+            build(lambda l: 0 if l == 3 else Fraction(1, 4), 4)
 
 
 def test_dyadic_lipschitz_bound():

@@ -8,8 +8,8 @@ from lapeig import graph as G
 from lapeig import kernels as K
 from lapeig import manifolds as M
 from lapeig import spectral as S
-from lapeig.errors import (DegenerateBasis, FExceedsOne, GapViolation,
-                           KTooLarge, SolverFailure, ZeroVector)
+from lapeig.errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne,
+                           GapViolation, KTooLarge, SolverFailure, ZeroVector)
 
 IND = K.indicator_kernel()
 
@@ -306,6 +306,34 @@ def test_grid_supremum_matches_exact_pencil():
     grid_sup, _ = S._grid_supremum(obj, 2, 512)
     pencil = sla.eigh(a3, b3, eigvals_only=True)
     assert grid_sup == pytest.approx(math.sqrt(max(pencil)), rel=1e-4)
+
+
+def test_graph_spectrum_modes():
+    cloud = M.sample_iid(M.UnitCircle(), 300, 5)
+    g = G.build_graph(cloud, IND, G.epsilon_schedule(300, 1))
+    sig = K.sigma_eta(IND, 1)
+    spec, resc = S.graph_spectrum(g, 3, S.MODE_UNNORMALIZED, IND, 1)
+    assert np.array_equal(spec.values, S.unnormalized_spectrum(g, 3).values)
+    assert np.array_equal(resc, S.rescale_unnormalized(spec.values, 300, g.eps, sig, 1))
+    spec, resc = S.graph_spectrum(g, 3, S.MODE_NORMALIZED, IND, 1)
+    assert np.array_equal(spec.values, S.normalized_spectrum(g, 3, IND, 1).values)
+    assert np.array_equal(resc, S.rescale_normalized(spec.values, g.eps, sig,
+                                                     K.sigma_tilde_eta(IND, 1)))
+    with pytest.raises(ValueError):
+        S.graph_spectrum(g, 3, "plain", IND, 1)
+
+
+@pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
+def test_graph_spectrum_refuses_disconnected_graph(mode):
+    pts = M.sample_iid(M.UnitCircle(), 300, 5).ambient
+    eps = G.epsilon_schedule(300, 1)
+    two = G.build_graph(M.ambient_cloud(np.concatenate([pts, pts + 10.0])), IND, eps)
+    # more components than eigenvalues asked for: every value found is rounding
+    # noise, so none is small next to the largest of them
+    many = G.build_graph(M.ambient_cloud(pts), IND, 0.005)
+    for g in (two, many):
+        with pytest.raises(DisconnectedGraph):
+            S.graph_spectrum(g, 3, mode, IND, 1)
 
 
 def test_memory_error_becomes_solver_failure(monkeypatch):
