@@ -21,8 +21,8 @@ from .kernels import (KernelProfile, indicator_kernel, kernel_constants,
 from .manifolds import (CliffordTorus, DensitySpec, PointCloud, SingularSurface,
                         SquareBoundary, UnitCircle, UnitSphere, ambient_cloud,
                         analytic_spectrum, constant_density, cosine_density,
-                        intrinsic_distance, make_manifold,
-                        oracle_spectrum_circle_weighted, sample_iid)
+                        make_manifold, oracle_spectrum_circle_weighted,
+                        sample_iid)
 from .singular import (DyadicProfile, SensitivityConfig, corner_defect_l1_limit,
                        corner_defect_profile, curve_speed_constant, dyadic_profile,
                        dyadic_slopes, geometric_theta, sensitivity_operator,

@@ -33,6 +33,13 @@ def _write_json(obj, path: str | None):
             fh.write(text + "\n")
 
 
+def _write_csv(path: str, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cloud_to_json(cloud: PointCloud, manifold: str, density: str) -> dict:
     params = np.atleast_2d(cloud.params.T).T  # (n,) -> (n, 1)
     return {
@@ -118,13 +125,18 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    config = harness.ExperimentConfig(
+def _experiment_config(args, **fields) -> harness.ExperimentConfig:
+    """The config fields converge and align share, plus the command's own."""
+    return harness.ExperimentConfig(
         manifold=args.manifold, density=args.density, kernel=args.kernel,
-        mode=args.mode, k_max=args.k_max,
-        n_grid=tuple(int(x) for x in args.n_grid.split(",")),
         trials=args.trials, master_seed=args.seed, eps_rule=args.eps,
-        metric=args.metric, threads=args.threads)
+        metric=args.metric, **fields)
+
+
+def _cmd_converge(args) -> int:
+    config = _experiment_config(
+        args, mode=args.mode, k_max=args.k_max,
+        n_grid=tuple(int(x) for x in args.n_grid.split(",")), threads=args.threads)
     report = harness.run_convergence(config)
     harness.emit_report(report, args.out, args.format)
     med = report.medians()
@@ -138,10 +150,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_align(args) -> int:
     k, l = (int(x) for x in args.block.split(","))
-    config = harness.ExperimentConfig(
-        manifold=args.manifold, density=args.density, kernel=args.kernel,
-        k_max=max(args.k_max, l + 1), n_grid=(args.n,), trials=args.trials,
-        master_seed=args.seed, eps_rule=args.eps, metric=args.metric)
+    config = _experiment_config(args, k_max=max(args.k_max, l + 1), n_grid=(args.n,))
     summary = harness.run_eigvec_alignment(config, k, l)
     obj = {
         "block": list(summary.block),
@@ -175,11 +184,8 @@ def _cmd_interp(args) -> int:
         raise LapeigError("interp query grids are built for 1-D chart models")
     theta = (np.arange(count) + 0.5) * 2.0 * math.pi / count
     vals = lambda_eps(ctx, u, theta)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta", "value"])
-        for t, v in zip(theta, vals):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_csv(args.out, ["theta", "value"],
+               ([repr(float(t)), repr(float(v))] for t, v in zip(theta, vals)))
     return 0
 
 
@@ -191,12 +197,8 @@ def _cmd_sensitivity(args) -> int:
     if args.m != 2:
         raise LapeigError("the sensitivity experiment is built for m = 2")
     rows = harness.corner_l1_sweep(config)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eps", "l1_deviation", "limit_rhs"])
-        for row in rows:
-            writer.writerow([repr(row.eps), repr(row.l1_deviation),
-                             repr(row.limit_rhs)])
+    _write_csv(args.out, ["eps", "l1_deviation", "limit_rhs"],
+               ([repr(r.eps), repr(r.l1_deviation), repr(r.limit_rhs)] for r in rows))
     return 0
 
 
@@ -209,13 +211,10 @@ def _cmd_dyadic(args) -> int:
     profile = singular.dyadic_profile(theta, args.level)
     slopes = singular.dyadic_slopes(profile)
     xs = profile.grid()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "alpha", "d_n", "e_n"])
-        for i, x in enumerate(xs[:-1]):
-            writer.writerow([repr(float(x)), repr(float(profile.alpha[i])),
-                             repr(float(slopes.slopes[i])),
-                             repr(float(slopes.jumps[i]))])
+    _write_csv(args.out, ["x", "alpha", "d_n", "e_n"],
+               ([repr(float(x)), repr(float(profile.alpha[i])),
+                 repr(float(slopes.slopes[i])), repr(float(slopes.jumps[i]))]
+                for i, x in enumerate(xs[:-1])))
     return 0
 
 
@@ -255,34 +254,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("converge", help="run a convergence sweep over sample sizes")
-    p.add_argument("--manifold", default="circle")
-    p.add_argument("--density", default="const")
-    p.add_argument("--kernel", default="indicator")
+    # the experiment arguments converge and align share
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--manifold", default="circle")
+    experiment.add_argument("--density", default="const")
+    experiment.add_argument("--kernel", default="indicator")
+    experiment.add_argument("--k-max", type=int, default=4)
+    experiment.add_argument("--trials", type=int, default=20)
+    experiment.add_argument("--seed", type=int, default=20240501)
+    experiment.add_argument("--eps", default="auto:1")
+    experiment.add_argument("--metric", default="ambient", choices=["ambient", "intrinsic"])
+
+    p = sub.add_parser("converge", parents=[experiment],
+                       help="run a convergence sweep over sample sizes")
     p.add_argument("--mode", default=MODE_UNNORMALIZED,
                    choices=[MODE_UNNORMALIZED, MODE_NORMALIZED])
-    p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--n-grid", default="512,1024,2048,4096")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--eps", default="auto:1")
-    p.add_argument("--metric", default="ambient", choices=["ambient", "intrinsic"])
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("align", help="eigenvector block alignment on the circle")
-    p.add_argument("--manifold", default="circle")
-    p.add_argument("--density", default="const")
-    p.add_argument("--kernel", default="indicator")
+    p = sub.add_parser("align", parents=[experiment],
+                       help="eigenvector block alignment on the circle")
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--block", default="1,2")
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--eps", default="auto:1")
-    p.add_argument("--metric", default="ambient", choices=["ambient", "intrinsic"])
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_align)
 

@@ -280,7 +280,7 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
 
     The defect is independent of the circle factor, so the integral
     reduces to the square boundary times the circle volume.  The node
-    count per face scales like 1/eps so the corner layers stay resolved.
+    count per face is ``config.nodes_per_face(eps)`` unless given.
     """
     sigma = singular.sigma_indicator(2)
     limit = singular.corner_defect_l1_limit(config, 2)
@@ -288,7 +288,7 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
     h = lambda t1, t2: np.sin(np.asarray(t1) - alpha)
     rows = []
     for eps in config.eps_grid:
-        npf = nodes_per_face or max(config.quad_resolution // 2, int(24.0 / eps))
+        npf = nodes_per_face or config.nodes_per_face(eps)
         total = 0.0
         for face in range(4):
             s_vals = face + (np.arange(npf) + 0.5) / npf

@@ -158,9 +158,9 @@ def dirichlet_energy_1d(model, f, quad_points: int = 4096) -> float:
     return float(np.sum(deriv ** 2 * rho ** 2) * h_arc)
 
 
-def weighted_l2_mass_1d(model, f, quad_points: int = 4096, rho_power: int = 1) -> float:
-    """int f^2 rho^p along arc length (p = 1 for the plain norm, 2 for normalized)."""
+def weighted_l2_mass_1d(model, f, quad_points: int = 4096) -> float:
+    """int f^2 rho along arc length."""
     theta, h_arc = _circle_like_grid(model, quad_points)
     vals = np.asarray(f(theta), dtype=float)
     rho = model.rho(theta)
-    return float(np.sum(vals ** 2 * rho ** rho_power) * h_arc)
+    return float(np.sum(vals ** 2 * rho) * h_arc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -102,9 +103,9 @@ class _BaseModel:
     m = 0
     d = 0
 
-    def __init__(self, density: DensitySpec):
-        self.density = density
-        if density.form != "constant" and self.kind != "circle":
+    def __init__(self, density: DensitySpec | None = None):
+        self.density = density or constant_density()
+        if self.density.form != "constant" and self.kind != "circle":
             raise UnsupportedDensity(
                 f"{self.kind} only supports the constant density")
 
@@ -122,13 +123,18 @@ class _BaseModel:
         """(eigenvalue, multiplicity) pairs of the plain Laplacian, ascending."""
         raise NotImplementedError
 
-    # -- derived ----------------------------------------------------------
-    def rho(self, params) -> np.ndarray:
-        raise NotImplementedError
-
     def pair_distances(self, pa, pb) -> np.ndarray:
         """Intrinsic distance for paired chart points; broadcasts."""
         raise NotImplementedError
+
+    def _bilipschitz_params(self):
+        """Chart points whose pairs estimate the bilipschitz bound; None: pi/2 holds."""
+        return None
+
+    # -- derived ----------------------------------------------------------
+    def rho(self, params) -> np.ndarray:
+        """Density at each chart point (one value per point)."""
+        return np.full(np.size(params) // self.m, 1.0 / self.volume())
 
     def cross_distances(self, pa, pb) -> np.ndarray:
         """Intrinsic distance from every point of pa to every point of pb."""
@@ -144,14 +150,16 @@ class _BaseModel:
         vol = self.volume()
         return max(vol, 1.0 / vol)
 
-    def lipschitz_rho(self) -> float:
-        return 0.0
-
     def bilipschitz_bound(self) -> float:
-        return math.pi / 2.0
+        """Bound on intrinsic distance over chord length; computed once per model."""
+        return self._bilipschitz
 
-    def _bilipschitz_on(self, params) -> float:
-        """(pi/2) times the largest intrinsic/chord ratio over pairs of params."""
+    @cached_property
+    def _bilipschitz(self) -> float:
+        """(pi/2) times the largest intrinsic/chord ratio over pairs of _bilipschitz_params()."""
+        params = self._bilipschitz_params()
+        if params is None:
+            return math.pi / 2.0
         x = self.embed(params)
         chord = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
         intr = self.cross_distances(params, params)
@@ -186,22 +194,57 @@ class _BaseModel:
         return f"{self.kind}[{self.density.label}]"
 
 
-class UnitCircle(_BaseModel):
-    kind = "circle"
+def _midpoint_grid(resolution: int, spans):
+    """Midpoint product grid of about ``resolution`` nodes on a 2-D chart box.
+
+    ``spans`` holds (start, length) per axis; returns the (q*q, 2) nodes
+    and the cell width along each axis.
+    """
+    q = max(2, int(math.isqrt(resolution)))
+    axes = [lo + (np.arange(q) + 0.5) * length / q for lo, length in spans]
+    a0, a1 = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a0.ravel(), a1.ravel()], axis=-1), [length / q for _, length in spans]
+
+
+class _ClosedCurve(_BaseModel):
+    """A closed curve of length volume() on the chart angle in [0, 2 pi).
+
+    The chart runs at constant speed, so the plain spectrum is that of a
+    circle of the same length: 0, then (2 pi j / length)^2 twice.
+    """
+
     m = 1
     d = 2
-    chart_speed = 1.0
 
-    def __init__(self, density: DensitySpec | None = None):
-        super().__init__(density or constant_density())
+    @property
+    def chart_speed(self) -> float:
+        return self.volume() / TWO_PI
+
+    def sample_params(self, n, rng):
+        return rng.uniform(0.0, TWO_PI, n)  # constant speed: uniform arc length
+
+    def spectrum_pairs(self):
+        yield (0.0, 1)
+        j = 1
+        while True:
+            yield (float((TWO_PI / self.volume() * j) ** 2), 2)
+            j += 1
+
+    def chart_grid(self, resolution):
+        theta = (np.arange(resolution) + 0.5) * TWO_PI / resolution
+        return theta, self.rho(theta) * self.chart_speed * (TWO_PI / resolution)
+
+
+class UnitCircle(_ClosedCurve):
+    kind = "circle"
 
     def volume(self):
         return TWO_PI
 
     def rho(self, params):
-        theta = np.asarray(params, dtype=float)
         if self.density.form == "constant":
-            return np.full_like(theta, 1.0 / TWO_PI)
+            return super().rho(params)
+        theta = np.asarray(params, dtype=float)
         return (1.0 + self.density.beta * np.cos(theta)) / TWO_PI
 
     def embed(self, params):
@@ -213,31 +256,15 @@ class UnitCircle(_BaseModel):
 
     def sample_params(self, n, rng):
         if self.density.form == "constant":
-            return rng.uniform(0.0, TWO_PI, n)
+            return super().sample_params(n, rng)
         # inverse CDF on a dense table; the CDF is exact, only the
         # inversion is tabulated
         grid = np.linspace(0.0, TWO_PI, 2 ** 16 + 1)
         cdf = (grid + self.density.beta * np.sin(grid)) / TWO_PI
         return np.interp(rng.random(n), cdf, grid)
 
-    def spectrum_pairs(self):
-        yield (0.0, 1)
-        j = 1
-        while True:
-            yield (float(j * j), 2)
-            j += 1
-
     def alpha_bound(self):
-        if self.density.form == "constant":
-            return TWO_PI
         return TWO_PI / (1.0 - abs(self.density.beta))
-
-    def lipschitz_rho(self):
-        return abs(self.density.beta) / TWO_PI
-
-    def chart_grid(self, resolution):
-        theta = (np.arange(resolution) + 0.5) * TWO_PI / resolution
-        return theta, self.rho(theta) * (TWO_PI / resolution)
 
 
 class CliffordTorus(_BaseModel):
@@ -247,14 +274,8 @@ class CliffordTorus(_BaseModel):
     m = 2
     d = 4
 
-    def __init__(self, density: DensitySpec | None = None):
-        super().__init__(density or constant_density())
-
     def volume(self):
         return TWO_PI ** 2
-
-    def rho(self, params):
-        return np.full(np.atleast_2d(params).shape[0], 1.0 / self.volume())
 
     def embed(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -279,12 +300,8 @@ class CliffordTorus(_BaseModel):
             yield (float(v), int(c))
 
     def chart_grid(self, resolution):
-        q = max(2, int(math.isqrt(resolution)))
-        axis = (np.arange(q) + 0.5) * TWO_PI / q
-        t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-        params = np.stack([t1.ravel(), t2.ravel()], axis=-1)
-        w = np.full(params.shape[0], (TWO_PI / q) ** 2 / self.volume())
-        return params, w
+        params, (h, _) = _midpoint_grid(resolution, [(0.0, TWO_PI), (0.0, TWO_PI)])
+        return params, np.full(params.shape[0], h ** 2 / self.volume())
 
 
 class UnitSphere(_BaseModel):
@@ -294,14 +311,8 @@ class UnitSphere(_BaseModel):
     m = 2
     d = 3
 
-    def __init__(self, density: DensitySpec | None = None):
-        super().__init__(density or constant_density())
-
     def volume(self):
         return 4.0 * math.pi
-
-    def rho(self, params):
-        return np.full(np.atleast_2d(params).shape[0], 1.0 / self.volume())
 
     def embed(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -329,16 +340,12 @@ class UnitSphere(_BaseModel):
 
     def chart_grid(self, resolution):
         # grid in (z, lon): the area element is exactly dz dlon
-        q = max(2, int(math.isqrt(resolution)))
-        z = -1.0 + (np.arange(q) + 0.5) * 2.0 / q
-        lon = (np.arange(q) + 0.5) * TWO_PI / q
-        zz, ll = np.meshgrid(z, lon, indexing="ij")
-        params = np.stack([np.arccos(zz.ravel()), ll.ravel()], axis=-1)
-        w = np.full(params.shape[0], (2.0 / q) * (TWO_PI / q) / self.volume())
-        return params, w
+        params, (hz, hlon) = _midpoint_grid(resolution, [(-1.0, 2.0), (0.0, TWO_PI)])
+        params[:, 0] = np.arccos(params[:, 0])
+        return params, np.full(params.shape[0], hz * hlon / self.volume())
 
 
-class SquareBoundary(_BaseModel):
+class SquareBoundary(_ClosedCurve):
     """Boundary of the unit square, chart angle in [0, 2 pi), speed 2/pi.
 
     Isometric to a circle of circumference 4, so the spectrum is closed
@@ -346,19 +353,9 @@ class SquareBoundary(_BaseModel):
     """
 
     kind = "square"
-    m = 1
-    d = 2
-    chart_speed = 2.0 / math.pi
-
-    def __init__(self, density: DensitySpec | None = None):
-        super().__init__(density or constant_density())
-        self._bilip = None
 
     def volume(self):
         return 4.0
-
-    def rho(self, params):
-        return np.full(np.atleast_1d(params).shape[0], 0.25)
 
     def embed(self, params):
         return _sing.square_boundary_point(params)
@@ -369,25 +366,8 @@ class SquareBoundary(_BaseModel):
         d = np.abs(sa - sb) % 4.0
         return np.minimum(d, 4.0 - d)
 
-    def sample_params(self, n, rng):
-        return rng.uniform(0.0, TWO_PI, n)  # constant speed: uniform arc length
-
-    def spectrum_pairs(self):
-        yield (0.0, 1)
-        j = 1
-        while True:
-            yield (float((math.pi * j / 2.0) ** 2), 2)
-            j += 1
-
-    def bilipschitz_bound(self):
-        if self._bilip is None:
-            theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-            self._bilip = self._bilipschitz_on(theta)
-        return self._bilip
-
-    def chart_grid(self, resolution):
-        theta = (np.arange(resolution) + 0.5) * TWO_PI / resolution
-        return theta, self.rho(theta) * self.chart_speed * (TWO_PI / resolution)
+    def _bilipschitz_params(self):
+        return np.linspace(0.0, TWO_PI, 2048, endpoint=False)
 
 
 class SingularSurface(_BaseModel):
@@ -404,7 +384,7 @@ class SingularSurface(_BaseModel):
 
     def __init__(self, profile: _sing.DyadicProfile, m2_radius: float = 1.0,
                  density: DensitySpec | None = None):
-        super().__init__(density or constant_density())
+        super().__init__(density)
         if m2_radius <= 0:
             raise ValueError("m2_radius must be positive")
         self.profile = profile
@@ -416,13 +396,9 @@ class SingularSurface(_BaseModel):
         self._seg_d = dslope
         self._seg_w0 = w0
         self._max_speed = float(np.sqrt(np.maximum(w0 * w0, w1 * w1) + dslope ** 2).max())
-        self._bilip = None
 
     def volume(self):
         return self._length * TWO_PI * self.m2_radius
-
-    def rho(self, params):
-        return np.full(np.atleast_2d(params).shape[0], 1.0 / self.volume())
 
     def speed(self, x):
         xv = np.mod(np.asarray(x, dtype=float), 1.0)
@@ -473,27 +449,17 @@ class SingularSurface(_BaseModel):
         raise NoAnalyticSpectrum(
             "densely singular surface: use the graph itself or a 1-D oracle")
 
-    def bilipschitz_bound(self):
-        if self._bilip is None:
-            rng = np.random.default_rng(1234)
-            self._bilip = self._bilipschitz_on(
-                np.stack([rng.random(512), rng.uniform(0, TWO_PI, 512)], axis=-1))
-        return self._bilip
+    def _bilipschitz_params(self):
+        rng = np.random.default_rng(1234)
+        return np.stack([rng.random(512), rng.uniform(0, TWO_PI, 512)], axis=-1)
 
     def chart_grid(self, resolution):
-        q = max(2, int(math.isqrt(resolution)))
-        xs = (np.arange(q) + 0.5) / q
-        ys = (np.arange(q) + 0.5) * TWO_PI / q
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        params = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        w = (self.rho(params) * self.speed(params[:, 0]) * self.m2_radius
-             * (1.0 / q) * (TWO_PI / q))
-        return params, w
+        params, (hx, hy) = _midpoint_grid(resolution, [(0.0, 1.0), (0.0, TWO_PI)])
+        return params, self.rho(params) * self.speed(params[:, 0]) * self.m2_radius * hx * hy
 
 
 def make_manifold(name: str, density: DensitySpec | None = None,
-                  profile_level: int = 8, theta_ratio: float = 0.5,
-                  m2_radius: float = 1.0):
+                  profile_level: int = 8):
     """Build a model by CLI name: circle | torus | sphere | square | singular."""
     if name == "circle":
         return UnitCircle(density)
@@ -504,8 +470,8 @@ def make_manifold(name: str, density: DensitySpec | None = None,
     if name == "square":
         return SquareBoundary(density)
     if name == "singular":
-        profile = _sing.dyadic_profile(_sing.geometric_theta(theta_ratio), profile_level)
-        return SingularSurface(profile, m2_radius=m2_radius, density=density)
+        profile = _sing.dyadic_profile(_sing.geometric_theta(0.5), profile_level)
+        return SingularSurface(profile, density=density)
     raise ValueError(f"unknown manifold {name!r}")
 
 
@@ -514,14 +480,6 @@ def make_manifold(name: str, density: DensitySpec | None = None,
 def sample_iid(model, n: int, seed: int) -> PointCloud:
     """n independent draws from the model's weighted volume measure."""
     return model.sample(n, seed)
-
-
-def embed(model, params):
-    return model.embed(params)
-
-
-def intrinsic_distance(model, p, q) -> float:
-    return model.distance(p, q)
 
 
 def analytic_spectrum(model, which: str, k: int) -> np.ndarray:

@@ -86,6 +86,12 @@ def product_eigenfunction(alpha: float, point, y=None) -> float:
 # Ball-average Laplacian and its corner defect
 # ---------------------------------------------------------------------------
 
+# The corner sweep places about 24/eps nodes on each face and runs one
+# adaptive quadrature per node, so its time grows like 1/eps (about
+# 0.18/eps seconds on a 2-core x86 VM); below this eps it runs for minutes.
+MIN_SENSITIVITY_EPS = 0.01
+
+
 @dataclass(frozen=True)
 class SensitivityConfig:
     """Settings for the corner-sensitivity experiment on square x circle."""
@@ -102,6 +108,14 @@ class SensitivityConfig:
         if not all(0.0 < e < 1.0 for e in grid):
             raise ValueError("every eps must be positive and below the face length 1")
         object.__setattr__(self, "eps_grid", grid)
+        if grid[-1] < MIN_SENSITIVITY_EPS:
+            raise ValueError(
+                f"eps {grid[-1]:g} is below {MIN_SENSITIVITY_EPS:g}: the corner sweep "
+                f"would need {self.nodes_per_face(grid[-1])} nodes per face")
+
+    def nodes_per_face(self, eps: float) -> int:
+        """Corner-sweep nodes per face; grows like 1/eps so the corner layers stay resolved."""
+        return max(self.quad_resolution // 2, int(24.0 / eps))
 
 
 def sigma_indicator(m: int) -> float:

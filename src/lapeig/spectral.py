@@ -48,20 +48,11 @@ class Spectrum:
     weights: np.ndarray | None = None
 
 
-def mean_inner(u, v, weights=None) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if weights is None:
-        return float(u @ v) / u.size
-    return float(u @ (v * weights)) / u.size
-
-
-def _smallest_eigenpairs(mat: sparse.spmatrix, count: int,
-                         dense_threshold: int) -> tuple[np.ndarray, np.ndarray]:
+def _smallest_eigenpairs(mat: sparse.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
-    if n <= dense_threshold or count >= n - 1:
+    if n <= DENSE_SOLVER_MAX_N or count >= n - 1:
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
         return vals, vecs
     scale = float(np.mean(mat.diagonal()))
@@ -75,19 +66,18 @@ def _smallest_eigenpairs(mat: sparse.spmatrix, count: int,
     return vals[order], vecs[:, order]
 
 
-def unnormalized_spectrum(graph: NeighborhoodGraph, k: int,
-                          dense_threshold: int = DENSE_SOLVER_MAX_N) -> Spectrum:
+def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
     """Smallest k+1 eigenpairs of L, eigenvectors of mean-square norm one."""
     if k > graph.n - 1:
         raise KTooLarge(f"k={k} exceeds n-1={graph.n - 1}")
-    vals, vecs = _smallest_eigenpairs(graph.laplacian(), k + 1, dense_threshold)
+    vals, vecs = _smallest_eigenpairs(graph.laplacian(), k + 1)
     return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n),
                     inner_product=INNER_MEAN, k=k)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int,
-                        kernel: KernelProfile | None = None, m: int | None = None,
-                        dense_threshold: int = DENSE_SOLVER_MAX_N) -> Spectrum:
+                        kernel: KernelProfile | None = None,
+                        m: int | None = None) -> Spectrum:
     """Eigenpairs of L v = lambda D v via the symmetric D^(-1/2) L D^(-1/2).
 
     Eigenvectors are back-transformed and normalized in the degree-weighted
@@ -100,7 +90,7 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     d = graph.degrees
     inv_sqrt = sparse.diags(1.0 / np.sqrt(d))
     sym = (inv_sqrt @ graph.laplacian() @ inv_sqrt).tocsr()
-    vals, vecs = _smallest_eigenpairs(sym, k + 1, dense_threshold)
+    vals, vecs = _smallest_eigenpairs(sym, k + 1)
     back = vecs / np.sqrt(d)[:, None]
     if kernel is not None and m is not None:
         weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
@@ -116,18 +106,13 @@ def rescale_unnormalized(lam, n: int, eps: float, sigma_eta: float, m: int):
     return 2.0 * np.asarray(lam) / (sigma_eta * n * eps ** (m + 2))
 
 
-def rescale_normalized(lam, eps: float, sigma_eta: float, sigma_tilde: float,
-                       n: int | None = None):
+def rescale_normalized(lam, eps: float, sigma_eta: float, sigma_tilde: float):
     """2 sigma_tilde lambda / (sigma_eta eps^2) for the (L, D) eigenvalues.
 
     The scale-free form (no sample-size factor) is the dimensionally
-    consistent one; passing ``n`` divides by it for side-by-side
-    comparison, which is expected to diverge.
+    consistent one.
     """
-    out = 2.0 * sigma_tilde * np.asarray(lam) / (sigma_eta * eps ** 2)
-    if n is not None:
-        out = out / n
-    return out
+    return 2.0 * sigma_tilde * np.asarray(lam) / (sigma_eta * eps ** 2)
 
 
 def graph_spectrum(graph: NeighborhoodGraph, k: int, mode: str, kernel: KernelProfile,
@@ -277,7 +262,7 @@ def _local_sphere_grid(center: np.ndarray, radius: float, density: int) -> np.nd
     return pts
 
 
-def _grid_supremum(objective, dim: int, density: int, refine: int = 2):
+def _grid_supremum(objective, dim: int, density: int):
     """Gridded supremum over the unit sphere plus a modulus-based slack estimate.
 
     ``objective(C)`` maps coefficient rows to values.  The slack is the
@@ -294,7 +279,7 @@ def _grid_supremum(objective, dim: int, density: int, refine: int = 2):
     finite = vals[np.isfinite(vals)]
     modulus = float(np.max(np.abs(np.diff(finite)))) if finite.size > 1 else 0.0
     radius = math.pi / density
-    for _ in range(refine):
+    for _ in range(2):
         local = _local_sphere_grid(center, radius, max(9, density // 8))
         lv = objective(local)
         j = int(np.nanargmax(lv))
@@ -370,7 +355,9 @@ def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2, k: int, l: int,
     """Quantities controlling how the k..l eigenvector block transfers.
 
     Indices are 1-based into the ascending eigenvalue lists and need
-    2 <= k <= l with l + 1 spans of dimension at most 3.  Estimates E1
+    2 <= k <= l with l + 1 <= 3 (the E1/E2 spans have dimension l + 1 and
+    are gridded up to dimension 3), so the one admissible block is the 1-D
+    block (2, 2); any other raises SpanTooLarge or ValueError.  Estimates E1
     and E2 on sphere grids, takes E3 and E4 from exact pencils, assembles
     the combined bound F, and verifies the block-projection conclusion on
     a grid of the source span.  Raises GapViolation when the half-gap does
@@ -386,7 +373,7 @@ def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2, k: int, l: int,
     n2 = d2.shape[0]
     if not (2 <= k <= l <= min(n1, n2) - 1):
         raise ValueError("need 2 <= k <= l <= dim - 1 (1-based indices)")
-    if l + 1 > 3 or l - k + 1 > 3:
+    if l + 1 > 3:
         raise SpanTooLarge("spans of dimension above 3 are not gridded")
 
     vals1, vecs1 = form_eigensystem(d1, inner1)

@@ -125,7 +125,7 @@ def test_validation_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["kernel-info", "--kernel", "boxcar", "--m", "1"]) == 2
     assert run(["sensitivity", "--m", "3", "--out", str(tmp_path / "s.csv")]) == 2
-    for grid in ("0.2,0", "0.2,-0.1"):
+    for grid in ("0.2,0", "0.2,-0.1", "0.2,0.0001"):
         assert run(["sensitivity", "--eps-grid", grid, "--quad", "64",
                     "--out", str(tmp_path / "s.csv")]) == 2
 

@@ -71,6 +71,7 @@ def test_cosine_density_mean():
 def test_analytic_spectrum_circle():
     circle = M.UnitCircle()
     assert np.allclose(M.analytic_spectrum(circle, "normalized", 4), [0, 1, 1, 4, 4])
+    assert M.analytic_spectrum(circle, "unweighted", 4).tolist() == [0, 1, 1, 4, 4]
     rho = 1.0 / TWO_PI
     assert np.allclose(M.analytic_spectrum(circle, "weighted", 2), [0, rho, rho])
 
@@ -79,6 +80,10 @@ def test_analytic_spectrum_square():
     square = M.SquareBoundary()
     want = (math.pi / 2.0) ** 2
     assert np.allclose(M.analytic_spectrum(square, "normalized", 2), [0, want, want])
+    # a closed curve of length 4: exact, not only close
+    assert M.analytic_spectrum(square, "unweighted", 4).tolist() == [
+        0.0, want, want, math.pi ** 2, math.pi ** 2]
+    assert square.chart_speed == 2.0 / math.pi
 
 
 def test_analytic_spectrum_torus_sphere():
@@ -106,6 +111,9 @@ def test_chord_below_intrinsic_and_bilipschitz(name):
     assert np.all(chord <= intr + 1e-9)
     bound = model.bilipschitz_bound()
     assert np.all(intr <= bound * chord + 1e-9)
+    # the bound is computed once: a second call does not embed again
+    model.embed = None
+    assert model.bilipschitz_bound() == bound
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -135,6 +143,8 @@ def test_density_bounds(name):
     model = _model(name)
     cloud = M.sample_iid(model, 512, 3)
     rho = model.rho(cloud.params)
+    assert rho.shape == (cloud.n,)
+    assert np.all(rho == 1.0 / model.volume())
     alpha = model.alpha_bound()
     assert np.all(rho <= alpha + 1e-12)
     assert np.all(rho >= 1.0 / alpha - 1e-12)

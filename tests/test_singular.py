@@ -60,6 +60,11 @@ def test_sensitivity_config_validation():
             S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2, bad))
         with pytest.raises(ValueError):
             S.sensitivity_operator(CFG, lambda t1, t2: np.sin(t1), (0.7, 0.0), bad)
+    # below MIN_SENSITIVITY_EPS the corner sweep's node count is refused up front
+    with pytest.raises(ValueError, match="240000 nodes per face"):
+        S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2, 0.0001))
+    assert S.SensitivityConfig(alpha=0.0, m2_radius=1.0,
+                               eps_grid=(0.2, S.MIN_SENSITIVITY_EPS)).eps_grid[-1] == 0.01
 
 
 def test_sensitivity_constant_function():

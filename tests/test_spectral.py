@@ -9,7 +9,8 @@ from lapeig import kernels as K
 from lapeig import manifolds as M
 from lapeig import spectral as S
 from lapeig.errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne,
-                           GapViolation, KTooLarge, SolverFailure, ZeroVector)
+                           GapViolation, KTooLarge, SolverFailure, SpanTooLarge,
+                           ZeroVector)
 
 IND = K.indicator_kernel()
 
@@ -61,11 +62,13 @@ def test_clique_normalized():
     assert np.allclose(spec.values, [0.0, 1.0, 1.0], atol=1e-12)
 
 
-def test_sparse_solver_matches_dense():
+def test_sparse_solver_matches_dense(monkeypatch):
     cloud = M.sample_iid(M.UnitCircle(), 200, 3)
     g = G.build_graph(cloud, IND, G.epsilon_schedule(200, 1))
-    dense = S.unnormalized_spectrum(g, 4, dense_threshold=10_000)
-    sparse = S.unnormalized_spectrum(g, 4, dense_threshold=8)
+    monkeypatch.setattr(S, "DENSE_SOLVER_MAX_N", 10_000)
+    dense = S.unnormalized_spectrum(g, 4)
+    monkeypatch.setattr(S, "DENSE_SOLVER_MAX_N", 8)
+    sparse = S.unnormalized_spectrum(g, 4)
     assert np.allclose(dense.values, sparse.values, atol=1e-8)
     rep = S.subspace_alignment(dense.vectors[:, 1:3], sparse.vectors[:, 1:3])
     assert np.max(rep.residuals) < 1e-8
@@ -126,9 +129,6 @@ def test_rescale_unnormalized():
 def test_rescale_normalized():
     assert S.rescale_normalized(1.0, 1.0, 2.0 / 3.0, 2.0) == pytest.approx(6.0)
     assert S.rescale_normalized(0.0, 0.3, 1.0, 1.0) == 0.0
-    # the sample-size variant is exposed for comparison and differs by 1/n
-    with_n = S.rescale_normalized(1.0, 1.0, 2.0 / 3.0, 2.0, n=10)
-    assert with_n == pytest.approx(0.6)
 
 
 def test_rayleigh_quotient():
@@ -283,6 +283,16 @@ def test_eigenvector_comparison_guards():
     rough = form + rand_psd(6, rng) * 5.0
     with pytest.raises((FExceedsOne, GapViolation)):
         S.eigenvector_comparison(form, eye, rough, eye, np.eye(6), np.eye(6), 2, 2, 64)
+
+
+def test_span_too_large():
+    form = np.diag([0.5, 1.0, 2.0, 4.0, 6.0, 9.0])
+    eye = np.eye(6)
+    # (2, 2) is the only admissible block: l = 3 needs a 4-D gridded span
+    with pytest.raises(SpanTooLarge):
+        S.eigenvector_comparison(form, eye, form, eye, eye, eye, 2, 3, 64)
+    with pytest.raises(SpanTooLarge):
+        S.eigenvalue_comparison_check(form, eye, form, eye, eye, k=4)
 
 
 def test_grid_supremum_matches_exact_pencil():
