@@ -121,7 +121,8 @@ def _cmd_spectrum(args) -> int:
     _write_json({"mode": mode, "k": args.k,
                  "values": [float(v) for v in spec.values],
                  "rescaled": [float(v) for v in rescaled],
-                 "eps": graph.eps, "n": graph.n}, args.out)
+                 "eps": graph.eps, "n": graph.n,
+                 "solver": spec.solver, "residual": spec.residual}, args.out)
     return 0
 
 

@@ -492,10 +492,9 @@ def analytic_spectrum(model, which: str, k: int) -> np.ndarray:
 
 
 def total_mass(model, resolution: int = 4096) -> float:
-    """Quadrature of the density over the manifold (should be 1)."""
-    if model.kind == "singular":
-        return float(model.rho(np.zeros((1, 2)))[0] * model.volume())
-    params, w = model.chart_grid(resolution if model.m == 1 else resolution ** 2)
+    """Quadrature of the density over the manifold on about ``resolution`` nodes
+    (should be 1)."""
+    params, w = model.chart_grid(resolution)
     return float(np.sum(w))
 
 

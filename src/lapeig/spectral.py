@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
+                                  eigsh, splu)
 
 from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolation,
                      KTooLarge, SolverFailure, SpanTooLarge, ZeroVector)
@@ -26,6 +27,10 @@ from .graph import NeighborhoodGraph
 from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 
 DENSE_SOLVER_MAX_N = 1024
+RESIDUAL_TOL = 1e-8
+
+SOLVER_DENSE = "dense"
+SOLVER_SHIFT_INVERT = "shift-invert"
 
 MODE_UNNORMALIZED = "unnormalized"
 MODE_NORMALIZED = "normalized"
@@ -37,42 +42,68 @@ INNER_DEGREE = "degree"
 class Spectrum:
     """Ascending eigenvalues with eigenvectors orthonormal in the stated inner product.
 
-    ``weights`` is None for the plain (1/n) mean inner product, else the
-    per-vertex weight vector entering (1/n) sum u_i v_i w_i.
+    ``solver`` is the path that found them (``"dense"`` or ``"shift-invert"``)
+    and ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
+    relative to 2 max diag(A), an upper bound of the spectrum of the solved
+    symmetric matrix A.  ``weights`` is None for the plain (1/n) mean inner
+    product, else the per-vertex weight vector entering (1/n) sum u_i v_i w_i.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     inner_product: str
     k: int
+    solver: str
+    residual: float
     weights: np.ndarray | None = None
 
 
-def _smallest_eigenpairs(mat: sparse.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _smallest_eigenpairs(mat: sparse.spmatrix,
+                         count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
+    """Smallest eigenpairs of a symmetric PSD, diagonally dominant matrix.
+
+    Dense ``eigh`` up to DENSE_SOLVER_MAX_N; above it ARPACK in shift-invert
+    mode around a small negative sigma, where mat - sigma I is SPD and is
+    factored once by SuperLU in symmetric mode with a minimum-degree
+    ordering of A^T + A.  Returns (values, unit vectors, solver, residual);
+    a failed factorization or ARPACK run, or a residual above RESIDUAL_TOL,
+    is a SolverFailure.
+    """
     n = mat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
+    diag = mat.diagonal()
     if n <= DENSE_SOLVER_MAX_N or count >= n - 1:
+        solver = SOLVER_DENSE
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
-        return vals, vecs
-    scale = float(np.mean(mat.diagonal()))
-    sigma = -max(1e-8, 1e-3 * scale)
-    v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
-    try:
-        vals, vecs = eigsh(mat.tocsc(), k=count, sigma=sigma, which="LM", v0=v0)
-    except (ArpackError, ArpackNoConvergence, RuntimeError, MemoryError) as exc:
-        raise SolverFailure(str(exc)) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    else:
+        solver = SOLVER_SHIFT_INVERT
+        sigma = -max(1e-8, 1e-3 * float(np.mean(diag)))
+        v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
+        try:
+            lu = splu((mat - sigma * sparse.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            vals, vecs = eigsh(mat, k=count, sigma=sigma, which="LM", v0=v0,
+                               OPinv=LinearOperator((n, n), matvec=lu.solve))
+        except (ArpackError, ArpackNoConvergence, RuntimeError, MemoryError) as exc:
+            raise SolverFailure(str(exc)) from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    bound = 2.0 * float(diag.max())
+    worst = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
+    if not worst <= RESIDUAL_TOL * bound:
+        raise SolverFailure(f"{solver} eigenpairs of a {n}x{n} matrix have residual "
+                            f"{worst:.3g}, above {RESIDUAL_TOL:g} x {bound:.4g}")
+    return vals, vecs, solver, (worst / bound if bound > 0 else 0.0)
 
 
 def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
     """Smallest k+1 eigenpairs of L, eigenvectors of mean-square norm one."""
     if k > graph.n - 1:
         raise KTooLarge(f"k={k} exceeds n-1={graph.n - 1}")
-    vals, vecs = _smallest_eigenpairs(graph.laplacian(), k + 1)
+    vals, vecs, solver, residual = _smallest_eigenpairs(graph.laplacian(), k + 1)
     return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n),
-                    inner_product=INNER_MEAN, k=k)
+                    inner_product=INNER_MEAN, k=k, solver=solver, residual=residual)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int,
@@ -90,7 +121,7 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     d = graph.degrees
     inv_sqrt = sparse.diags(1.0 / np.sqrt(d))
     sym = (inv_sqrt @ graph.laplacian() @ inv_sqrt).tocsr()
-    vals, vecs = _smallest_eigenpairs(sym, k + 1)
+    vals, vecs, solver, residual = _smallest_eigenpairs(sym, k + 1)
     back = vecs / np.sqrt(d)[:, None]
     if kernel is not None and m is not None:
         weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
@@ -98,7 +129,7 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
         weights = d.copy()
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)
     return Spectrum(values=vals, vectors=back / norms, inner_product=INNER_DEGREE,
-                    k=k, weights=weights)
+                    k=k, solver=solver, residual=residual, weights=weights)
 
 
 def rescale_unnormalized(lam, n: int, eps: float, sigma_eta: float, m: int):

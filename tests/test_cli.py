@@ -42,11 +42,15 @@ def test_sample_graph_spectrum_pipeline(tmp_path, capsys):
     assert len(spec["values"]) == 5
     assert len(spec["rescaled"]) == 5
     assert spec["values"] == sorted(spec["values"])
+    assert spec["solver"] == "dense"
+    assert 0.0 <= spec["residual"] <= 1e-8
 
     assert run(["spectrum", "--in", str(graph_path), "--k", "2",
                 "--normalized"]) == 0
     nspec = json.loads(capsys.readouterr().out)
     assert nspec["mode"] == "normalized"
+    assert nspec["solver"] == "dense"
+    assert 0.0 <= nspec["residual"] <= 1e-8
 
 
 def test_converge_deterministic(tmp_path):
@@ -165,16 +169,32 @@ def test_disconnected_graph(tmp_path):
                 "--out", str(tmp_path / "align.json")]) == 2
 
 
-def test_solver_failure_exit_code(tmp_path, monkeypatch):
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     cloud_path = tmp_path / "cloud.json"
     graph_path = tmp_path / "graph.json"
     assert run(["sample", "--manifold", "circle", "--n", "1100", "--seed", "3",
                 "--out", str(cloud_path)]) == 0
     assert run(["graph", "--in", str(cloud_path), "--eps", "auto",
                 "--out", str(graph_path)]) == 0
+    capsys.readouterr()
+    assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 0
+    spec = json.loads(capsys.readouterr().out)
+    assert spec["solver"] == "shift-invert"
+    assert 0.0 <= spec["residual"] <= 1e-8
+
+    real_eigsh = spectral.eigsh
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(spectral, "eigsh", out_of_memory)
+    assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
+
+    # eigenvalues off by far more than the residual tolerance
+
+    def perturbed_eigsh(mat, *args, **kwargs):
+        vals, vecs = real_eigsh(mat, *args, **kwargs)
+        return vals + 1e-6 * mat.diagonal().max(), vecs
+
+    monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh)
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3

@@ -130,7 +130,10 @@ def test_bilipschitz_many_pairs(name):
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_total_mass(name):
     model = _model(name)
-    assert M.total_mass(model, 4096) == pytest.approx(1.0, abs=1e-8)
+    # the singular surface's density follows its dyadic profile, so its
+    # quadrature needs a finer grid to reach the same tolerance
+    nodes = 2 ** 20 if name == "singular" else 4096
+    assert M.total_mass(model, nodes) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_total_mass_cosine():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from lapeig import graph as G
 from lapeig import kernels as K
@@ -341,7 +343,12 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
     # more components than eigenvalues asked for: every value found is rounding
     # noise, so none is small next to the largest of them
     many = G.build_graph(M.ambient_cloud(pts), IND, 0.005)
-    for g in (two, many):
+    # two clusters above the dense cutoff: the shift-invert path
+    big = M.sample_iid(M.UnitCircle(), 600, 5).ambient
+    large = G.build_graph(M.ambient_cloud(np.concatenate([big, big + 10.0])), IND,
+                          G.epsilon_schedule(600, 1))
+    assert large.n > S.DENSE_SOLVER_MAX_N
+    for g in (two, many, large):
         with pytest.raises(DisconnectedGraph):
             S.graph_spectrum(g, 3, mode, IND, 1)
 
@@ -356,3 +363,58 @@ def test_memory_error_becomes_solver_failure(monkeypatch):
     g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
     with pytest.raises(SolverFailure):
         S.unnormalized_spectrum(g, 4)
+
+
+def _sparse_path_graph():
+    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
+    return G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
+
+
+def test_factorization_failure_becomes_solver_failure(monkeypatch):
+    g = _sparse_path_graph()
+    for exc in (MemoryError(), RuntimeError("Factor is exactly singular")):
+        def failing_splu(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(S, "splu", failing_splu)
+        with pytest.raises(SolverFailure):
+            S.unnormalized_spectrum(g, 4)
+
+
+def test_large_residual_becomes_solver_failure(monkeypatch):
+    g = _sparse_path_graph()
+    spec = S.unnormalized_spectrum(g, 4)
+    assert spec.solver == S.SOLVER_SHIFT_INVERT
+    assert 0.0 <= spec.residual <= S.RESIDUAL_TOL
+    dense = S.unnormalized_spectrum(path3(), 2)
+    assert dense.solver == S.SOLVER_DENSE
+    assert 0.0 <= dense.residual <= S.RESIDUAL_TOL
+
+    real_eigsh = S.eigsh
+
+    def perturbed_eigsh(mat, *args, **kwargs):
+        vals, vecs = real_eigsh(mat, *args, **kwargs)
+        return vals + 1e-6 * mat.diagonal().max(), vecs
+
+    monkeypatch.setattr(S, "eigsh", perturbed_eigsh)
+    with pytest.raises(SolverFailure, match="residual"):
+        S.unnormalized_spectrum(g, 4)
+    with pytest.raises(SolverFailure, match="residual"):
+        S.normalized_spectrum(g, 4)
+
+
+def test_symmetric_factor_matches_default_shift_invert():
+    # against ARPACK with its own default SuperLU factor of mat - sigma I
+    n = 2048
+    v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
+    for model in (M.UnitSphere(), M.SquareBoundary()):
+        g = G.build_graph(M.sample_iid(model, n, 5), IND, G.epsilon_schedule(n, model.m))
+        inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
+        sym = inv_sqrt @ g.laplacian() @ inv_sqrt
+        for spec, mat in ((S.unnormalized_spectrum(g, 4), g.laplacian()),
+                          (S.normalized_spectrum(g, 4), sym)):
+            assert spec.solver == S.SOLVER_SHIFT_INVERT
+            sigma = -max(1e-8, 1e-3 * float(np.mean(mat.diagonal())))
+            ref = np.sort(eigsh(mat.tocsc(), k=5, sigma=sigma, which="LM", v0=v0)[0])
+            assert abs(spec.values[0] - ref[0]) <= 1e-12 * ref[1]
+            np.testing.assert_allclose(spec.values[1:], ref[1:], rtol=1e-12, atol=0.0)
