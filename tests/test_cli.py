@@ -191,7 +191,6 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
 
     # eigenvalues off by far more than the residual tolerance
-
     def perturbed_eigsh(mat, *args, **kwargs):
         vals, vecs = real_eigsh(mat, *args, **kwargs)
         return vals + 1e-6 * mat.diagonal().max(), vecs

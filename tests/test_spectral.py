@@ -343,12 +343,14 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
     # more components than eigenvalues asked for: every value found is rounding
     # noise, so none is small next to the largest of them
     many = G.build_graph(M.ambient_cloud(pts), IND, 0.005)
+    # no edge at all: L is the zero matrix
+    isolated = G.build_graph(M.ambient_cloud(pts), IND, 1e-6)
     # two clusters above the dense cutoff: the shift-invert path
     big = M.sample_iid(M.UnitCircle(), 600, 5).ambient
     large = G.build_graph(M.ambient_cloud(np.concatenate([big, big + 10.0])), IND,
                           G.epsilon_schedule(600, 1))
     assert large.n > S.DENSE_SOLVER_MAX_N
-    for g in (two, many, large):
+    for g in (two, many, isolated, large):
         with pytest.raises(DisconnectedGraph):
             S.graph_spectrum(g, 3, mode, IND, 1)
 
