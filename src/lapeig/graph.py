@@ -127,12 +127,15 @@ class ConnectivityReport:
     min_degree: int
 
 
+def component_count(graph: NeighborhoodGraph) -> int:
+    """Number of components over the positive entries of K."""
+    return int(connected_components(graph.kernel_matrix > 0, directed=False)[0])
+
+
 def connectivity_report(graph: NeighborhoodGraph) -> ConnectivityReport:
     """Component count over positive off-diagonal edges, plus min degree."""
-    kmat = graph.kernel_matrix
-    comps, _ = connected_components(kmat > 0, directed=False)
-    coo = kmat.tocoo()
+    coo = graph.kernel_matrix.tocoo()
     off = (coo.row != coo.col) & (coo.data > 0)
     neighbor_counts = np.bincount(coo.row[off], minlength=graph.n)
-    return ConnectivityReport(components=int(comps),
+    return ConnectivityReport(components=component_count(graph),
                               min_degree=int(neighbor_counts.min()))

@@ -374,8 +374,10 @@ class SingularSurface(_BaseModel):
     """Dyadically perturbed circle times a small circle, embedded in R^4.
 
     The radial bump has slope jumps at every dyadic rational, so the
-    surface is Lipschitz but nowhere-smooth along a dense set; there is no
-    closed-form spectrum.
+    embedding is Lipschitz but nowhere-smooth along a dense set.  The kinks
+    are extrinsic only: the curve (length L) and the circle of radius r lie
+    in orthogonal planes, so the surface is isometric to a flat torus of
+    sides L and 2 pi r, and its plain spectrum is (2 pi j / L)^2 + (k / r)^2.
     """
 
     kind = "singular"
@@ -446,8 +448,18 @@ class SingularSurface(_BaseModel):
         return np.stack([xs, ys], axis=-1)
 
     def spectrum_pairs(self):
-        raise NoAnalyticSpectrum(
-            "densely singular surface: use the graph itself or a 1-D oracle")
+        # flat torus of sides L and 2 pi r: (2 pi j / L)^2 + (k / r)^2, one entry per
+        # (|j|, |k|) so that values equal by coincidence are never merged
+        bound = 64
+        j, k = np.divmod(np.arange(bound * bound), bound)
+        vals = (TWO_PI * j / self._length) ** 2 + (k / self.m2_radius) ** 2
+        mult = np.where(j > 0, 2, 1) * np.where(k > 0, 2, 1)
+        # below the cutoff no index beyond the bound can contribute
+        cutoff = min(TWO_PI * bound / self._length, bound / self.m2_radius) ** 2
+        for i in np.argsort(vals, kind="stable"):
+            if vals[i] >= cutoff:
+                break
+            yield (float(vals[i]), int(mult[i]))
 
     def _bilipschitz_params(self):
         rng = np.random.default_rng(1234)

@@ -18,19 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
-                                  eigsh, splu)
+from scipy.sparse.linalg import eigsh
 
 from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolation,
                      KTooLarge, SolverFailure, SpanTooLarge, ZeroVector)
-from .graph import NeighborhoodGraph
+from .graph import NeighborhoodGraph, component_count
 from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 
 DENSE_SOLVER_MAX_N = 1024
 RESIDUAL_TOL = 1e-8
+LANCZOS_NCV = 40
+LANCZOS_MAXITER = 500
 
 SOLVER_DENSE = "dense"
-SOLVER_SHIFT_INVERT = "shift-invert"
+SOLVER_LANCZOS = "lanczos"
 
 MODE_UNNORMALIZED = "unnormalized"
 MODE_NORMALIZED = "normalized"
@@ -42,7 +43,7 @@ INNER_DEGREE = "degree"
 class Spectrum:
     """Ascending eigenvalues with eigenvectors orthonormal in the stated inner product.
 
-    ``solver`` is the path that found them (``"dense"`` or ``"shift-invert"``)
+    ``solver`` is the path that found them (``"dense"`` or ``"lanczos"``)
     and ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
     relative to 2 max diag(A), an upper bound of the spectrum of the solved
     symmetric matrix A.  ``weights`` is None for the plain (1/n) mean inner
@@ -62,34 +63,34 @@ def _smallest_eigenpairs(mat: sparse.spmatrix,
                          count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
     """Smallest eigenpairs of a symmetric PSD, diagonally dominant matrix.
 
-    Dense ``eigh`` up to DENSE_SOLVER_MAX_N; above it ARPACK in shift-invert
-    mode around a small negative sigma, where mat - sigma I is SPD and is
-    factored once by SuperLU in symmetric mode with a minimum-degree
-    ordering of A^T + A.  Returns (values, unit vectors, solver, residual);
-    a failed factorization or ARPACK run, or a residual above RESIDUAL_TOL,
-    is a SolverFailure.
+    Dense ``eigh`` up to DENSE_SOLVER_MAX_N; above it ARPACK's regular-mode
+    Lanczos for the smallest algebraic values (one SpMV per step, no
+    factorization), from a seeded start vector and with LANCZOS_NCV basis
+    vectors and at most LANCZOS_MAXITER restarts.  A single Krylov start
+    vector finds one copy of an exactly repeated eigenvalue only, so the
+    multiplicity of zero is not read from these values: graph_spectrum
+    counts components first.  Returns (values, unit vectors, solver,
+    residual); a failed ARPACK run, or a residual above RESIDUAL_TOL, is a
+    SolverFailure.
     """
     n = mat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
-    diag = mat.diagonal()
     if n <= DENSE_SOLVER_MAX_N or count >= n - 1:
         solver = SOLVER_DENSE
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
-        solver = SOLVER_SHIFT_INVERT
-        sigma = -max(1e-8, 1e-3 * float(np.mean(diag)))
+        solver = SOLVER_LANCZOS
         v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
         try:
-            lu = splu((mat - sigma * sparse.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            vals, vecs = eigsh(mat, k=count, sigma=sigma, which="LM", v0=v0,
-                               OPinv=LinearOperator((n, n), matvec=lu.solve))
-        except (ArpackError, ArpackNoConvergence, RuntimeError, MemoryError) as exc:
+            vals, vecs = eigsh(mat, k=count, which="SA", tol=0, v0=v0,
+                               ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
+                               maxiter=LANCZOS_MAXITER)
+        except (RuntimeError, MemoryError) as exc:  # ARPACK errors are RuntimeErrors
             raise SolverFailure(str(exc)) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    bound = 2.0 * float(diag.max())
+    bound = 2.0 * float(mat.diagonal().max())
     worst = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
     if not worst <= RESIDUAL_TOL * bound:
         raise SolverFailure(f"{solver} eigenpairs of a {n}x{n} matrix have residual "
@@ -150,26 +151,24 @@ def graph_spectrum(graph: NeighborhoodGraph, k: int, mode: str, kernel: KernelPr
                    m: int) -> tuple[Spectrum, np.ndarray]:
     """Smallest k+1 eigenpairs of L (plain mode) or (L, D), and their rescaled values.
 
-    Raises DisconnectedGraph when more than one eigenvalue is zero, i.e.
-    within 1e-9 of an upper bound of the spectrum (not of the largest value
-    found: with more than k components, every value found is round-off).
+    Raises DisconnectedGraph, before any eigensolve, when the graph has more
+    than one component over the positive entries of K.  The eigenvalues
+    cannot tell: a Krylov solver started from one vector finds a single
+    copy of the repeated eigenvalue zero.
     """
+    if mode not in (MODE_UNNORMALIZED, MODE_NORMALIZED):
+        raise ValueError(f"unknown mode {mode!r}")
+    components = component_count(graph)
+    if components > 1:
+        raise DisconnectedGraph(f"the graph has {components} components (n={graph.n}, "
+                                f"eps={graph.eps:.4g})")
     sig = sigma_eta(kernel, m)
     if mode == MODE_UNNORMALIZED:
         spec = unnormalized_spectrum(graph, k)
         rescaled = rescale_unnormalized(spec.values, graph.n, graph.eps, sig, m)
-        bound = 2.0 * float(graph.degrees.max())  # Gershgorin bound for L = D - K
-    elif mode == MODE_NORMALIZED:
+    else:
         spec = normalized_spectrum(graph, k, kernel=kernel, m=m)
         rescaled = rescale_normalized(spec.values, graph.eps, sig, sigma_tilde_eta(kernel, m))
-        bound = 2.0  # the spectrum of (L, D) lies in [0, 2]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    zeros = int(np.sum(np.abs(spec.values) <= 1e-9 * bound))
-    if zeros > 1:
-        raise DisconnectedGraph(
-            f"{zeros} of the {k + 1} lowest eigenvalues are zero (n={graph.n}, "
-            f"eps={graph.eps:.4g}): the graph has more than one component")
     return spec, rescaled
 
 

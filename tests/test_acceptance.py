@@ -266,3 +266,23 @@ def test_criterion_12_determinism():
     second = H.report_csv_text(H.run_convergence(config))
     assert first.encode() == second.encode()
     _report("12 determinism", f"{len(first.splitlines()) - 1} rows byte-identical")
+
+
+def test_criterion_13_singular_surface():
+    # eps = auto:1.5: the unit-constant schedule ignores this surface's volume
+    # (58.3) and leaves most graphs disconnected at n = 2048
+    config = H.ExperimentConfig(manifold="singular", n_grid=(2048, 8192), trials=3,
+                                k_max=8, eps_rule="auto:1.5", master_seed=MASTER_SEED)
+    report = H.run_convergence(config)
+    assert not report.failures
+    # flat torus of sides L = 9.27879 and 2 pi: (2 pi / L)^2 twice, then 1 twice
+    volume = 9.27879 * 2.0 * math.pi
+    np.testing.assert_allclose(report.targets[1:5] * volume,
+                               [0.45854, 0.45854, 1.0, 1.0], rtol=1e-5)
+    medians = {n: report.medians()[n][0] for n in config.n_grid}
+    eps = {n: G.eps_from_rule(config.eps_rule, n, 2) for n in config.n_grid}
+    assert medians[8192] <= 0.15
+    assert medians[8192] <= medians[2048]
+    assert medians[8192] / eps[8192] <= medians[2048] / eps[2048]
+    _report("13 singular surface",
+            f"median@8192={medians[8192]:.3f}, median/eps={medians[8192] / eps[8192]:.2f}")

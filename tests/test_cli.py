@@ -147,7 +147,7 @@ def test_eps_rule_forms(tmp_path):
     assert fixed.read_bytes() == plain.read_bytes()
 
 
-def test_disconnected_graph(tmp_path):
+def test_disconnected_graph(tmp_path, monkeypatch):
     # eps = 0.05 leaves these circle samples in dozens of components
     out = tmp_path / "r.json"
     assert run(["converge", "--n-grid", "128,256", "--trials", "2", "--k-max", "2",
@@ -168,6 +168,20 @@ def test_disconnected_graph(tmp_path):
     assert run(["align", "--n", "256", "--trials", "1", "--eps", "fixed:0.05",
                 "--out", str(tmp_path / "align.json")]) == 2
 
+    # above the dense cutoff (sphere, n=2048, auto:0.5, seed 2: two components),
+    # refused before any solve
+    assert run(["sample", "--manifold", "sphere", "--n", "2048", "--seed", "2",
+                "--out", str(cloud_path)]) == 0
+    assert run(["graph", "--in", str(cloud_path), "--eps", "auto:0.5",
+                "--out", str(graph_path)]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigsh called on a disconnected graph")
+
+    monkeypatch.setattr(spectral, "eigsh", no_solve)
+    for flags in ([], ["--normalized"]):
+        assert run(["spectrum", "--in", str(graph_path), "--k", "4"] + flags) == 2
+
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     cloud_path = tmp_path / "cloud.json"
@@ -179,7 +193,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 0
     spec = json.loads(capsys.readouterr().out)
-    assert spec["solver"] == "shift-invert"
+    assert spec["solver"] == "lanczos"
     assert 0.0 <= spec["residual"] <= 1e-8
 
     real_eigsh = spectral.eigsh

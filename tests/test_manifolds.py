@@ -93,9 +93,25 @@ def test_analytic_spectrum_torus_sphere():
                        [0, 2, 2, 2, 6])
 
 
+def test_analytic_spectrum_singular():
+    # a flat torus of sides L = 9.27879 (default profile) and 2 pi r
+    model = M.make_manifold("singular")
+    a = (2.0 * math.pi / model.volume() * 2.0 * math.pi) ** 2  # (2 pi / L)^2, r = 1
+    assert a == pytest.approx(0.45854, abs=1e-5)
+    want = [0.0, a, a, 1.0, 1.0] + [1.0 + a] * 4
+    np.testing.assert_allclose(M.analytic_spectrum(model, "unweighted", 8), want,
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(M.analytic_spectrum(model, "weighted", 8),
+                               np.array(want) / model.volume(), rtol=1e-14, atol=0.0)
+    # with r = L / 2 pi the two frequencies coincide: the square torus, scaled
+    length = model.volume() / (2.0 * math.pi)
+    square = M.SingularSurface(model.profile, m2_radius=length / (2.0 * math.pi))
+    np.testing.assert_allclose(M.analytic_spectrum(square, "unweighted", 13),
+                               a * np.array([0, 1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 4, 5]),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_spectrum_errors():
-    with pytest.raises(NoAnalyticSpectrum):
-        M.analytic_spectrum(_model("singular"), "unweighted", 2)
     with pytest.raises(NoAnalyticSpectrum):
         M.analytic_spectrum(M.UnitCircle(M.cosine_density(0.3)), "weighted", 2)
     with pytest.raises(UnsupportedDensity):

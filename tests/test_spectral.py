@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from lapeig import graph as G
 from lapeig import kernels as K
@@ -345,7 +346,7 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
     many = G.build_graph(M.ambient_cloud(pts), IND, 0.005)
     # no edge at all: L is the zero matrix
     isolated = G.build_graph(M.ambient_cloud(pts), IND, 1e-6)
-    # two clusters above the dense cutoff: the shift-invert path
+    # two clusters above the dense cutoff: the Lanczos path
     big = M.sample_iid(M.UnitCircle(), 600, 5).ambient
     large = G.build_graph(M.ambient_cloud(np.concatenate([big, big + 10.0])), IND,
                           G.epsilon_schedule(600, 1))
@@ -355,38 +356,36 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
             S.graph_spectrum(g, 3, mode, IND, 1)
 
 
-def test_memory_error_becomes_solver_failure(monkeypatch):
-    # SuperLU reports a failed factorization as a bare MemoryError
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(S, "eigsh", out_of_memory)
-    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
-    g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
-    with pytest.raises(SolverFailure):
-        S.unnormalized_spectrum(g, 4)
-
-
 def _sparse_path_graph():
     cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
     return G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
 
 
-def test_factorization_failure_becomes_solver_failure(monkeypatch):
+def test_arpack_failure_becomes_solver_failure(monkeypatch):
     g = _sparse_path_graph()
-    for exc in (MemoryError(), RuntimeError("Factor is exactly singular")):
-        def failing_splu(*args, exc=exc, **kwargs):
+    for exc in (ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((g.n, 0))),
+                MemoryError(), RuntimeError("ARPACK error -9999")):
+        def failing_eigsh(*args, exc=exc, **kwargs):
             raise exc
 
-        monkeypatch.setattr(S, "splu", failing_splu)
+        monkeypatch.setattr(S, "eigsh", failing_eigsh)
         with pytest.raises(SolverFailure):
             S.unnormalized_spectrum(g, 4)
+
+
+def test_lanczos_restart_limit_becomes_solver_failure(monkeypatch):
+    # the real ARPACK run, cut off after one restart
+    g = _sparse_path_graph()
+    monkeypatch.setattr(S, "LANCZOS_MAXITER", 1)
+    for solve in (S.unnormalized_spectrum, S.normalized_spectrum):
+        with pytest.raises(SolverFailure, match="No convergence"):
+            solve(g, 4)
 
 
 def test_large_residual_becomes_solver_failure(monkeypatch):
     g = _sparse_path_graph()
     spec = S.unnormalized_spectrum(g, 4)
-    assert spec.solver == S.SOLVER_SHIFT_INVERT
+    assert spec.solver == S.SOLVER_LANCZOS
     assert 0.0 <= spec.residual <= S.RESIDUAL_TOL
     dense = S.unnormalized_spectrum(path3(), 2)
     assert dense.solver == S.SOLVER_DENSE
@@ -405,8 +404,8 @@ def test_large_residual_becomes_solver_failure(monkeypatch):
         S.normalized_spectrum(g, 4)
 
 
-def test_symmetric_factor_matches_default_shift_invert():
-    # against ARPACK with its own default SuperLU factor of mat - sigma I
+def test_lanczos_matches_direct_shift_invert():
+    # against ARPACK in shift-invert mode with its own default factor of mat - sigma I
     n = 2048
     v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
     for model in (M.UnitSphere(), M.SquareBoundary()):
@@ -415,8 +414,43 @@ def test_symmetric_factor_matches_default_shift_invert():
         sym = inv_sqrt @ g.laplacian() @ inv_sqrt
         for spec, mat in ((S.unnormalized_spectrum(g, 4), g.laplacian()),
                           (S.normalized_spectrum(g, 4), sym)):
-            assert spec.solver == S.SOLVER_SHIFT_INVERT
+            assert spec.solver == S.SOLVER_LANCZOS
             sigma = -max(1e-8, 1e-3 * float(np.mean(mat.diagonal())))
             ref = np.sort(eigsh(mat.tocsc(), k=5, sigma=sigma, which="LM", v0=v0)[0])
             assert abs(spec.values[0] - ref[0]) <= 1e-12 * ref[1]
             np.testing.assert_allclose(spec.values[1:], ref[1:], rtol=1e-12, atol=0.0)
+
+
+# Disconnected graphs above the dense cutoff where regular-mode Lanczos, started
+# from one vector, finds a single zero eigenvalue: (model, n, auto:<c>, seed)
+LANCZOS_MISSES_A_ZERO = [("sphere", 2048, 0.5, 2), ("sphere", 4096, 0.45, 1),
+                         ("singular", 2048, 1.0, 1), ("singular", 4096, 1.0, 4)]
+
+
+@pytest.mark.parametrize("name,n,c,seed", LANCZOS_MISSES_A_ZERO)
+def test_disconnected_graph_refused_before_any_solve(monkeypatch, name, n, c, seed):
+    model = M.make_manifold(name)
+    g = G.build_graph(M.sample_iid(model, n, seed), IND, G.epsilon_schedule(n, model.m, c))
+    assert g.n > S.DENSE_SOLVER_MAX_N
+    assert G.component_count(g) == G.connectivity_report(g).components > 1
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigsh called on a disconnected graph")
+
+    monkeypatch.setattr(S, "eigsh", no_solve)
+    for mode in (S.MODE_UNNORMALIZED, S.MODE_NORMALIZED):
+        with pytest.raises(DisconnectedGraph, match="components"):
+            S.graph_spectrum(g, 4, mode, IND, model.m)
+
+
+def test_many_components_refused_fast():
+    # torus, n=4096, auto:0.5, seed 1: 269 components; an unguarded ARPACK run
+    # spent minutes on it before failing
+    model = M.CliffordTorus()
+    g = G.build_graph(M.sample_iid(model, 4096, 1), IND, G.epsilon_schedule(4096, 2, 0.5))
+    assert G.component_count(g) == 269
+    for mode in (S.MODE_UNNORMALIZED, S.MODE_NORMALIZED):
+        start = time.perf_counter()
+        with pytest.raises(DisconnectedGraph, match="269 components"):
+            S.graph_spectrum(g, 4, mode, IND, 2)
+        assert time.perf_counter() - start < 1.0
