@@ -134,8 +134,8 @@ def component_count(graph: NeighborhoodGraph) -> int:
 
 def connectivity_report(graph: NeighborhoodGraph) -> ConnectivityReport:
     """Component count over positive off-diagonal edges, plus min degree."""
+    comps = component_count(graph)
     coo = graph.kernel_matrix.tocoo()
     off = (coo.row != coo.col) & (coo.data > 0)
     neighbor_counts = np.bincount(coo.row[off], minlength=graph.n)
-    return ConnectivityReport(components=component_count(graph),
-                              min_degree=int(neighbor_counts.min()))
+    return ConnectivityReport(components=comps, min_degree=int(neighbor_counts.min()))
