@@ -356,6 +356,18 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
             S.graph_spectrum(g, 3, mode, IND, 1)
 
 
+def test_memory_error_becomes_solver_failure(monkeypatch):
+    # an allocation failure inside the eigensolver surfaces as a bare MemoryError
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(S, "eigsh", out_of_memory)
+    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
+    g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
+    with pytest.raises(SolverFailure):
+        S.unnormalized_spectrum(g, 4)
+
+
 def _sparse_path_graph():
     cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
     return G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
@@ -364,7 +376,7 @@ def _sparse_path_graph():
 def test_arpack_failure_becomes_solver_failure(monkeypatch):
     g = _sparse_path_graph()
     for exc in (ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((g.n, 0))),
-                MemoryError(), RuntimeError("ARPACK error -9999")):
+                RuntimeError("ARPACK error -9999")):
         def failing_eigsh(*args, exc=exc, **kwargs):
             raise exc
 
