@@ -32,7 +32,7 @@ for kernel in profiles:
 
 print("\nvalidation catches broken profiles:")
 increasing = K.custom_kernel(lambda t: np.minimum(t, 1.0), lipschitz_bound=1.0)
-report = K.validate_kernel(increasing, 1000)
+report = K.validate_kernel(increasing)
 print(f"  increasing ramp -> ok={report.ok}, kinds={sorted(report.kinds())}")
 
 print("\nscaling eta(3t/4) against eps -> 3eps/4 leaves the product invariant:")

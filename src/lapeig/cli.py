@@ -54,13 +54,16 @@ def _cloud_to_json(cloud: PointCloud, manifold: str, density: str) -> dict:
 
 def _cloud_from_json(obj: dict) -> PointCloud:
     model = make_manifold(obj["manifold"], parse_density(obj["density"]))
+    n = int(obj["n"])
     params = np.asarray(obj["params_intrinsic"], dtype=float)
+    ambient = np.asarray(obj["points_ambient"], dtype=float)
+    if params.shape[:1] != (n,) or ambient.shape[:1] != (n,):
+        raise LapeigError(f"cloud n={n} does not match its point arrays (ambient "
+                          f"{ambient.shape}, intrinsic {params.shape})")
     if model.m == 1:
         params = params.ravel()
-    return PointCloud(manifold_id=model.label, n=int(obj["n"]), seed=int(obj["seed"]),
-                      params=params,
-                      ambient=np.asarray(obj["points_ambient"], dtype=float),
-                      model=model)
+    return PointCloud(manifold_id=model.label, n=n, seed=int(obj["seed"]),
+                      params=params, ambient=ambient, model=model)
 
 
 def _graph_to_json(graph: NeighborhoodGraph, m: int) -> dict:
@@ -78,9 +81,17 @@ def _graph_to_json(graph: NeighborhoodGraph, m: int) -> dict:
 def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     trips = np.asarray(obj["triplets"], dtype=float)
     n = int(obj["n"])
-    kmat = sparse.coo_matrix((trips[:, 2], (trips[:, 0].astype(int),
-                                            trips[:, 1].astype(int))),
+    if trips.ndim != 2 or trips.shape[1] != 3:
+        raise LapeigError("graph triplets must be a non-empty list of [i, j, weight]")
+    idx, weights = trips[:, :2], trips[:, 2]
+    if not np.all((idx == np.round(idx)) & (idx >= 0) & (idx < n)):
+        raise LapeigError(f"graph triplet indices must be integers in [0, {n})")
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise LapeigError("graph weights must be finite and non-negative")
+    kmat = sparse.coo_matrix((weights, (idx[:, 0].astype(int), idx[:, 1].astype(int))),
                              shape=(n, n)).tocsr()
+    if (kmat != kmat.T).nnz:
+        raise LapeigError("graph kernel matrix K is not symmetric")
     degrees = np.asarray(kmat.sum(axis=1)).ravel()
     graph = NeighborhoodGraph(n=n, eps=float(obj["eps"]), kernel_id=obj["kernel"],
                               metric=obj.get("metric", "ambient"),

@@ -9,10 +9,6 @@ class UnsupportedDensity(LapeigError):
     """A non-constant density was requested on a manifold without a sampler for it."""
 
 
-class OutOfChart(LapeigError):
-    """A point does not belong to the chart domain of the manifold."""
-
-
 class NoAnalyticSpectrum(LapeigError):
     """The model has no closed-form spectrum; use a numerical oracle instead."""
 
@@ -30,19 +26,17 @@ class DimensionMismatch(LapeigError):
 
 
 class SolverFailure(LapeigError):
-    """The eigenvalue solver did not converge."""
+    """The eigenvalue solver failed: ARPACK raised an error (no convergence
+    within the restart limit among them), or an eigenpair's residual is
+    above the tolerance (1e-8 relative to 2 max diag of the solved matrix)."""
 
 
 class DisconnectedGraph(LapeigError):
-    """More than one eigenvalue of the graph problem is numerically zero."""
+    """The graph has more than one component over the positive entries of K."""
 
 
 class KTooLarge(LapeigError):
     """More eigenpairs requested than the matrix admits."""
-
-
-class ZeroVector(LapeigError):
-    """Rayleigh quotient of a vector with zero norm."""
 
 
 class DegenerateBasis(LapeigError):

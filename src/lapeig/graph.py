@@ -85,7 +85,6 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
     cols = np.concatenate([jj, ii, np.arange(n)])
     data = np.concatenate([vals, vals, np.full(n, eta0)])
     kmat = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    kmat.sum_duplicates()
     degrees = np.asarray(kmat.sum(axis=1)).ravel()
     return NeighborhoodGraph(n=n, eps=float(eps), kernel_id=kernel.label or kernel.kind,
                              metric=metric, kernel_matrix=kmat, degrees=degrees)
@@ -124,18 +123,9 @@ def eps_from_rule(rule: str, n: int, m: int) -> float:
 @dataclass(frozen=True)
 class ConnectivityReport:
     components: int
-    min_degree: int
-
-
-def component_count(graph: NeighborhoodGraph) -> int:
-    """Number of components over the positive entries of K."""
-    return int(connected_components(graph.kernel_matrix > 0, directed=False)[0])
 
 
 def connectivity_report(graph: NeighborhoodGraph) -> ConnectivityReport:
-    """Component count over positive off-diagonal edges, plus min degree."""
-    comps = component_count(graph)
-    coo = graph.kernel_matrix.tocoo()
-    off = (coo.row != coo.col) & (coo.data > 0)
-    neighbor_counts = np.bincount(coo.row[off], minlength=graph.n)
-    return ConnectivityReport(components=comps, min_degree=int(neighbor_counts.min()))
+    """Number of components over the positive entries of K (one csgraph call)."""
+    comps = connected_components(graph.kernel_matrix > 0, directed=False)[0]
+    return ConnectivityReport(components=int(comps))

@@ -274,6 +274,14 @@ class SensitivityRow:
     limit_rhs: float
 
 
+def _defect_reference(alpha: float):
+    """h(theta1, theta2) = sin(theta1 - alpha) on square x circle, and the limit
+    theta0 -> (sigma/2) (pi/2)^2 h(theta0, .) of its ball average on a face."""
+    scale = 0.5 * singular.sigma_indicator(2) * (math.pi / 2.0) ** 2
+    h = lambda t1, t2: singular.circle_eigenfunction(t1, alpha)
+    return h, lambda theta0: float(scale * h(theta0, 0.0))
+
+
 def corner_l1_sweep(config: singular.SensitivityConfig,
                     nodes_per_face: int | None = None) -> list[SensitivityRow]:
     """L1 norm over the product manifold of the ball-average defect, per eps.
@@ -282,10 +290,8 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
     reduces to the square boundary times the circle volume.  The node
     count per face is ``config.nodes_per_face(eps)`` unless given.
     """
-    sigma = singular.sigma_indicator(2)
     limit = singular.corner_defect_l1_limit(config, 2)
-    alpha = config.alpha
-    h = lambda t1, t2: np.sin(np.asarray(t1) - alpha)
+    h, target = _defect_reference(config.alpha)
     rows = []
     for eps in config.eps_grid:
         npf = nodes_per_face or config.nodes_per_face(eps)
@@ -298,8 +304,7 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
                 # per-node stop needs an absolute floor as well
                 val = singular.sensitivity_operator(config, h, (theta0, 0.0), eps,
                                                     rtol=1e-4, atol=1e-7)
-                target = 0.5 * sigma * (math.pi / 2.0) ** 2 * math.sin(theta0 - alpha)
-                total += abs(val - target) / npf
+                total += abs(val - target(theta0)) / npf
         rows.append(SensitivityRow(eps=float(eps),
                                    l1_deviation=total * 2.0 * math.pi * config.m2_radius,
                                    limit_rhs=limit))
@@ -308,15 +313,12 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
 
 def face_midpoint_deviations(config: singular.SensitivityConfig) -> list[tuple[float, float]]:
     """Pointwise defect at the first face midpoint, per eps (smooth-point control)."""
-    sigma = singular.sigma_indicator(2)
-    alpha = config.alpha
-    h = lambda t1, t2: np.sin(np.asarray(t1) - alpha)
+    h, target = _defect_reference(config.alpha)
     theta0 = math.pi / 4.0
-    target = 0.5 * sigma * (math.pi / 2.0) ** 2 * math.sin(theta0 - alpha)
     out = []
     for eps in config.eps_grid:
         val = singular.sensitivity_operator(config, h, (theta0, 0.0), eps, rtol=1e-6)
-        out.append((float(eps), abs(val - target)))
+        out.append((float(eps), abs(val - target(theta0))))
     return out
 
 
@@ -372,17 +374,3 @@ def emit_report(report: ConvergenceReport, path: str, fmt: str = "csv") -> None:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise LapeigError(f"cannot write report: {exc}") from exc
-
-
-def load_report(path: str) -> ConvergenceReport:
-    """Rebuild a report from its JSON emission (metadata timestamp ignored)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    cfg_dict = obj["metadata"]["config"]
-    cfg_dict["n_grid"] = tuple(cfg_dict["n_grid"])
-    config = ExperimentConfig(**cfg_dict)
-    report = ConvergenceReport(config=config,
-                               targets=np.asarray(obj["targets"], dtype=float))
-    report.rows = [TrialRow(**row) for row in obj["rows"]]
-    report.failures = [tuple(f) for f in obj["failures"]]
-    return report

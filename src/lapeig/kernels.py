@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 MAX_SPHERE_DIM = 10
+VALIDATION_GRID_SIZE = 1000
 
 
 def sphere_volume(m: int) -> float:
@@ -190,19 +191,13 @@ def sigma_tilde_eta(kernel: KernelProfile, m: int, method: str = "auto") -> floa
 
 @dataclass(frozen=True)
 class KernelConstants:
-    m: int
     sigma_eta: float
     sigma_tilde_eta: float
-    sphere_volume: float
 
 
 def kernel_constants(kernel: KernelProfile, m: int) -> KernelConstants:
-    return KernelConstants(
-        m=m,
-        sigma_eta=sigma_eta(kernel, m),
-        sigma_tilde_eta=sigma_tilde_eta(kernel, m),
-        sphere_volume=sphere_volume(m),
-    )
+    return KernelConstants(sigma_eta=sigma_eta(kernel, m),
+                           sigma_tilde_eta=sigma_tilde_eta(kernel, m))
 
 
 VIOLATES_MONOTONICITY = "ViolatesMonotonicity"
@@ -227,16 +222,15 @@ class KernelValidation:
         return {v.kind for v in self.violations}
 
 
-def validate_kernel(kernel: KernelProfile, grid_size: int = 1000) -> KernelValidation:
-    """Check the profile invariants on a uniform grid of [0, 1.5].
+def validate_kernel(kernel: KernelProfile) -> KernelValidation:
+    """Check the profile invariants on a uniform grid of [0, 1.5] with
+    VALIDATION_GRID_SIZE points.
 
     Reports the first violating point per invariant: non-increase,
     vanishing beyond 1, positivity at 3/4, and the declared Lipschitz
     bound on [0, 1].
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    grid = np.linspace(0.0, 1.5, grid_size)
+    grid = np.linspace(0.0, 1.5, VALIDATION_GRID_SIZE)
     vals = np.asarray(kernel.eta(grid), dtype=float)
     violations = []
 

@@ -146,10 +146,6 @@ class _BaseModel:
         pb = np.asarray(q, dtype=float)[None] if self.m == 1 else np.atleast_2d(q)
         return float(self.pair_distances(pa, pb)[0])
 
-    def alpha_bound(self) -> float:
-        vol = self.volume()
-        return max(vol, 1.0 / vol)
-
     def bilipschitz_bound(self) -> float:
         """Bound on intrinsic distance over chord length; computed once per model."""
         return self._bilipschitz
@@ -170,6 +166,8 @@ class _BaseModel:
     def sample(self, n: int, seed: int) -> PointCloud:
         if n < 1:
             raise ValueError("n must be positive")
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2^64)")
         rng = np.random.default_rng(np.uint64(seed))
         params = self.sample_params(n, rng)
         return PointCloud(manifold_id=self.label, n=n, seed=int(seed),
@@ -262,9 +260,6 @@ class UnitCircle(_ClosedCurve):
         grid = np.linspace(0.0, TWO_PI, 2 ** 16 + 1)
         cdf = (grid + self.density.beta * np.sin(grid)) / TWO_PI
         return np.interp(rng.random(n), cdf, grid)
-
-    def alpha_bound(self):
-        return TWO_PI / (1.0 - abs(self.density.beta))
 
 
 class CliffordTorus(_BaseModel):

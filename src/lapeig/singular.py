@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import LevelTooDeep, OutOfChart, QuadratureNotConverged
+from .errors import LevelTooDeep, QuadratureNotConverged
 from .kernels import ball_volume, sphere_volume
 
 MAX_DYADIC_LEVEL = 24
@@ -53,33 +53,9 @@ def square_boundary_point(theta):
     return out
 
 
-def square_boundary_angle(point, tol: float = 1e-9) -> float:
-    """Invert the square-boundary parametrization; raises OutOfChart off the boundary."""
-    x, y = float(point[0]), float(point[1])
-    if abs(y) <= tol and -tol <= x <= 1 + tol:
-        s = min(max(x, 0.0), 1.0)
-    elif abs(x - 1.0) <= tol and -tol <= y <= 1 + tol:
-        s = 1.0 + min(max(y, 0.0), 1.0)
-    elif abs(y - 1.0) <= tol and -tol <= x <= 1 + tol:
-        s = 3.0 - min(max(x, 0.0), 1.0)
-    elif abs(x) <= tol and -tol <= y <= 1 + tol:
-        s = (4.0 - min(max(y, 0.0), 1.0)) % 4.0
-    else:
-        raise OutOfChart(f"point {(x, y)} is not on the unit-square boundary")
-    return s * math.pi / 2.0
-
-
 def circle_eigenfunction(theta, alpha: float = 0.0):
     """sin(theta - alpha), the first nontrivial circle eigenfunction at phase alpha."""
     return np.sin(np.asarray(theta, dtype=float) - alpha)
-
-
-def product_eigenfunction(alpha: float, point, y=None) -> float:
-    """Evaluate the phase-alpha eigenfunction on the square boundary at an R^2 point.
-
-    The value does not depend on the second-factor coordinate y.
-    """
-    return float(circle_eigenfunction(square_boundary_angle(point), alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +66,7 @@ def product_eigenfunction(alpha: float, point, y=None) -> float:
 # adaptive quadrature per node, so its time grows like 1/eps (about
 # 0.18/eps seconds on a 2-core x86 VM); below this eps it runs for minutes.
 MIN_SENSITIVITY_EPS = 0.01
+MAX_QUAD_DOUBLINGS = 12
 
 
 @dataclass(frozen=True)
@@ -132,7 +109,7 @@ def _square_chord(s_a, s_b):
 
 def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
                          separable: bool = True, rtol: float = 1e-3,
-                         atol: float = 1e-9, max_doublings: int = 12) -> float:
+                         atol: float = 1e-9) -> float:
     """Ball-average operator at z0 on M = boundary(square) x circle(r).
 
     Computes (1/eps^4) int over the ambient eps-ball of (h(z0) - h(z)),
@@ -141,7 +118,8 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     the circle factor is integrated exactly and only the square factor is
     discretized; otherwise a product midpoint rule is used.  The result is
     accepted once doubling the resolution changes it by less than ``rtol``
-    relatively, else QuadratureNotConverged is raised.
+    relatively within MAX_QUAD_DOUBLINGS doublings, else
+    QuadratureNotConverged is raised.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
@@ -172,13 +150,13 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
 
     prev = value(n0)
     n = 2 * n0
-    for _ in range(max_doublings):
+    for _ in range(MAX_QUAD_DOUBLINGS):
         cur = value(n)
         if abs(cur - prev) <= max(rtol * max(abs(cur), abs(prev)), atol):
             return cur
         prev, n = cur, 2 * n
     raise QuadratureNotConverged(
-        f"ball-average quadrature still moving after {max_doublings} doublings at eps={eps}")
+        f"ball-average quadrature still moving after {MAX_QUAD_DOUBLINGS} doublings at eps={eps}")
 
 
 def corner_defect_profile(m: int, t: float, method: str = "quadrature") -> float:

@@ -13,7 +13,7 @@ grid modulus, since the grid can only underestimate a supremum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,8 +21,8 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolation,
-                     KTooLarge, SolverFailure, SpanTooLarge, ZeroVector)
-from .graph import NeighborhoodGraph, component_count
+                     KTooLarge, SolverFailure, SpanTooLarge)
+from .graph import NeighborhoodGraph, connectivity_report
 from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 
 DENSE_SOLVER_MAX_N = 1024
@@ -35,25 +35,23 @@ SOLVER_LANCZOS = "lanczos"
 
 MODE_UNNORMALIZED = "unnormalized"
 MODE_NORMALIZED = "normalized"
-INNER_MEAN = "mean"
-INNER_DEGREE = "degree"
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with eigenvectors orthonormal in the stated inner product.
+    """Ascending eigenvalues with eigenvectors orthonormal in the inner product
+    that ``weights`` names.
 
-    ``solver`` is the path that found them (``"dense"`` or ``"lanczos"``)
-    and ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
+    ``weights`` is None for the plain (1/n) mean inner product, else the
+    per-vertex weight vector entering (1/n) sum u_i v_i w_i.  ``solver`` is
+    the path that found the pairs (``"dense"`` or ``"lanczos"``) and
+    ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
     relative to 2 max diag(A), an upper bound of the spectrum of the solved
-    symmetric matrix A.  ``weights`` is None for the plain (1/n) mean inner
-    product, else the per-vertex weight vector entering (1/n) sum u_i v_i w_i.
+    symmetric matrix A.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    inner_product: str
-    k: int
     solver: str
     residual: float
     weights: np.ndarray | None = None
@@ -100,11 +98,9 @@ def _smallest_eigenpairs(mat: sparse.spmatrix,
 
 def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
     """Smallest k+1 eigenpairs of L, eigenvectors of mean-square norm one."""
-    if k > graph.n - 1:
-        raise KTooLarge(f"k={k} exceeds n-1={graph.n - 1}")
     vals, vecs, solver, residual = _smallest_eigenpairs(graph.laplacian(), k + 1)
-    return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n),
-                    inner_product=INNER_MEAN, k=k, solver=solver, residual=residual)
+    return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n), solver=solver,
+                    residual=residual)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int,
@@ -117,8 +113,6 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     the weights are the scale-free degrees D_ii / (n eps^m sigma_tilde);
     otherwise the raw degrees are used (same vectors up to a global factor).
     """
-    if k > graph.n - 1:
-        raise KTooLarge(f"k={k} exceeds n-1={graph.n - 1}")
     d = graph.degrees
     inv_sqrt = sparse.diags(1.0 / np.sqrt(d))
     sym = (inv_sqrt @ graph.laplacian() @ inv_sqrt).tocsr()
@@ -129,8 +123,8 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     else:
         weights = d.copy()
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)
-    return Spectrum(values=vals, vectors=back / norms, inner_product=INNER_DEGREE,
-                    k=k, solver=solver, residual=residual, weights=weights)
+    return Spectrum(values=vals, vectors=back / norms, solver=solver, residual=residual,
+                    weights=weights)
 
 
 def rescale_unnormalized(lam, n: int, eps: float, sigma_eta: float, m: int):
@@ -158,7 +152,7 @@ def graph_spectrum(graph: NeighborhoodGraph, k: int, mode: str, kernel: KernelPr
     """
     if mode not in (MODE_UNNORMALIZED, MODE_NORMALIZED):
         raise ValueError(f"unknown mode {mode!r}")
-    components = component_count(graph)
+    components = connectivity_report(graph).components
     if components > 1:
         raise DisconnectedGraph(f"the graph has {components} components (n={graph.n}, "
                                 f"eps={graph.eps:.4g})")
@@ -170,13 +164,6 @@ def graph_spectrum(graph: NeighborhoodGraph, k: int, mode: str, kernel: KernelPr
         spec = normalized_spectrum(graph, k, kernel=kernel, m=m)
         rescaled = rescale_normalized(spec.values, graph.eps, sig, sigma_tilde_eta(kernel, m))
     return spec, rescaled
-
-
-def rayleigh_quotient(form_numerator, norm_squared, u) -> float:
-    den = float(norm_squared(u))
-    if den <= 0.0:
-        raise ZeroVector("denominator of the Rayleigh quotient vanishes")
-    return float(form_numerator(u)) / den
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +184,6 @@ class AlignmentReport:
     spread: float | None = None
     max_grid_residual: float | None = None
     conclusion_ok: bool | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _orthonormalize(basis: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -282,8 +268,6 @@ def _sphere_grid(dim: int, density: int) -> np.ndarray:
 def _local_sphere_grid(center: np.ndarray, radius: float, density: int) -> np.ndarray:
     """Renormalized box grid around a sphere point, for refinement passes."""
     dim = center.size
-    if dim == 1:
-        return center[None, :]
     steps = [np.linspace(-radius, radius, density)] * dim
     mesh = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1).reshape(-1, dim)
     pts = center[None, :] + mesh

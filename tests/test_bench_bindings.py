@@ -1,0 +1,24 @@
+"""The benchmark wraps library functions by name; a deleted or renamed one
+would make every benchmark run fail, so check the names resolve."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from lapeig import spectral
+
+INSTRUMENT = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+
+
+def test_wrapped_names_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("bench_instrument", INSTRUMENT)
+    instrument = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, instrument)
+    spec.loader.exec_module(instrument)
+    for layer, names in instrument.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"lapeig.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"lapeig.{layer}.{name}"
+    assert callable(getattr(spectral, "eigsh", None))

@@ -132,6 +132,29 @@ def test_validation_exit_code(tmp_path):
     for grid in ("0.2,0", "0.2,-0.1", "0.2,0.0001"):
         assert run(["sensitivity", "--eps-grid", grid, "--quad", "64",
                     "--out", str(tmp_path / "s.csv")]) == 2
+    cloud_path = tmp_path / "cloud.json"
+    for seed in ("-1", str(2 ** 64)):
+        assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", seed,
+                    "--out", str(cloud_path)]) == 2
+    assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", "1",
+                "--out", str(cloud_path)]) == 0
+    # a cloud whose n disagrees with its points
+    cloud = json.loads(cloud_path.read_text())
+    cloud_path.write_text(json.dumps(dict(cloud, n=60)))
+    assert run(["graph", "--in", str(cloud_path), "--eps", "1",
+                "--out", str(tmp_path / "g.json")]) == 2
+    # the connected path 0-1-2, then with empty triplets, an asymmetric K, a
+    # negative weight (eigenvalue -1) and a fractional index
+    graph_path = tmp_path / "graph.json"
+    path = [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [0, 1, 1.0], [1, 0, 1.0],
+            [1, 2, 1.0], [2, 1, 1.0]]
+    for triplets, code in ((path, 0), ([], 2), (path + [[0, 2, 1.0]], 2),
+                           (path + [[0, 2, -1.0], [2, 0, -1.0]], 2),
+                           (path + [[0, 1.5, 1.0], [1.5, 0, 1.0]], 2)):
+        graph_path.write_text(json.dumps({"n": 3, "eps": 0.5, "kernel": "indicator",
+                                          "metric": "ambient", "m": 1,
+                                          "triplets": triplets}))
+        assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == code
 
 
 def test_eps_rule_forms(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -89,10 +90,13 @@ def test_json_roundtrip(tmp_path):
     report = H.run_convergence(SMALL)
     path = tmp_path / "report.json"
     H.emit_report(report, str(path), "json")
-    loaded = H.load_report(str(path))
-    assert loaded.rows == report.rows
-    assert loaded.config == report.config
-    assert np.array_equal(loaded.targets, report.targets)
+    with open(path) as fh:
+        obj = json.load(fh)
+    assert [H.TrialRow(**row) for row in obj["rows"]] == report.rows
+    config = obj["metadata"]["config"]
+    assert H.ExperimentConfig(**dict(config, n_grid=tuple(config["n_grid"]))) == report.config
+    assert np.array_equal(obj["targets"], report.targets)
+    assert obj["failures"] == [list(f) for f in report.failures]
 
 
 def test_threaded_run_matches_sequential():

@@ -100,31 +100,31 @@ def test_sphere_volume():
 
 def test_validate_builtins_pass():
     for kernel in BUILTINS:
-        report = K.validate_kernel(kernel, 1000)
+        report = K.validate_kernel(kernel)
         assert report.ok, report.violations
 
 
 def test_validate_increasing_profile():
     bad = K.custom_kernel(lambda t: np.minimum(t, 1.0), lipschitz_bound=1.0)
-    report = K.validate_kernel(bad, 1000)
+    report = K.validate_kernel(bad)
     assert K.VIOLATES_MONOTONICITY in report.kinds()
 
 
 def test_validate_wide_support():
     bad = K.custom_kernel(lambda t: np.ones_like(t), lipschitz_bound=0.0, support=2.0)
-    report = K.validate_kernel(bad, 1000)
+    report = K.validate_kernel(bad)
     assert K.VIOLATES_SUPPORT in report.kinds()
 
 
 def test_validate_positivity_at_34():
     bad = K.custom_kernel(lambda t: np.maximum(1.0 - 2.0 * t, 0.0), lipschitz_bound=2.0)
-    report = K.validate_kernel(bad, 1000)
+    report = K.validate_kernel(bad)
     assert K.VIOLATES_POSITIVITY_AT_34 in report.kinds()
 
 
 def test_validate_lipschitz():
     bad = K.custom_kernel(lambda t: np.where(t < 0.5, 1.0, 0.4), lipschitz_bound=0.1)
-    report = K.validate_kernel(bad, 1000)
+    report = K.validate_kernel(bad)
     assert K.VIOLATES_LIPSCHITZ in report.kinds()
 
 

@@ -164,9 +164,6 @@ def test_density_bounds(name):
     rho = model.rho(cloud.params)
     assert rho.shape == (cloud.n,)
     assert np.all(rho == 1.0 / model.volume())
-    alpha = model.alpha_bound()
-    assert np.all(rho <= alpha + 1e-12)
-    assert np.all(rho >= 1.0 / alpha - 1e-12)
 
 
 def test_oracle_reproduces_constant():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lapeig import singular as S
-from lapeig.errors import LevelTooDeep, OutOfChart, QuadratureNotConverged
+from lapeig.errors import LevelTooDeep, QuadratureNotConverged
 
 
 def test_square_boundary_param_examples():
@@ -22,15 +22,6 @@ def test_square_boundary_param_continuity():
         assert np.linalg.norm(left - right) < 1e-8
 
 
-def test_square_boundary_angle_roundtrip():
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    for theta in thetas:
-        back = S.square_boundary_angle(S.square_boundary_point(theta))
-        assert back == pytest.approx(theta, abs=1e-9)
-    with pytest.raises(OutOfChart):
-        S.square_boundary_angle([0.5, 0.5])
-
-
 def test_circle_eigenfunction():
     assert S.circle_eigenfunction(math.pi / 2.0) == pytest.approx(1.0)
     assert S.circle_eigenfunction(0.0) == pytest.approx(0.0)
@@ -39,11 +30,6 @@ def test_circle_eigenfunction():
         sq = (S.circle_eigenfunction(theta, alpha) ** 2
               + S.circle_eigenfunction(theta, alpha + math.pi / 2.0) ** 2)
         assert np.allclose(sq, 1.0, atol=1e-12)
-
-
-def test_product_eigenfunction_ignores_second_factor():
-    val = S.product_eigenfunction(0.0, S.square_boundary_point(1.0), y=(0.3, 0.4))
-    assert val == pytest.approx(math.sin(1.0), abs=1e-9)
 
 
 CFG = S.SensitivityConfig(alpha=0.0, m2_radius=1.0,
@@ -119,11 +105,11 @@ def test_sensitivity_product_rule_cross_check():
     assert slow == pytest.approx(fast, rel=2e-2)
 
 
-def test_sensitivity_quadrature_guard():
+def test_sensitivity_quadrature_guard(monkeypatch):
     h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    monkeypatch.setattr(S, "MAX_QUAD_DOUBLINGS", 2)
     with pytest.raises(QuadratureNotConverged):
-        S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.05, separable=False,
-                               rtol=1e-9, max_doublings=2)
+        S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.05, separable=False, rtol=1e-9)
 
 
 def test_corner_defect_profile():

@@ -12,8 +12,7 @@ from lapeig import kernels as K
 from lapeig import manifolds as M
 from lapeig import spectral as S
 from lapeig.errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne,
-                           GapViolation, KTooLarge, SolverFailure, SpanTooLarge,
-                           ZeroVector)
+                           GapViolation, KTooLarge, SolverFailure, SpanTooLarge)
 
 IND = K.indicator_kernel()
 
@@ -134,26 +133,6 @@ def test_rescale_normalized():
     assert S.rescale_normalized(0.0, 0.3, 1.0, 1.0) == 0.0
 
 
-def test_rayleigh_quotient():
-    g = clique3()
-    lap = g.laplacian()
-    num = lambda u: float(u @ (lap @ u))
-    den = lambda u: float(u @ u)
-    e1 = np.array([1.0, -1.0, 0.0])
-    assert S.rayleigh_quotient(num, den, e1) == pytest.approx(3.0)
-    assert S.rayleigh_quotient(num, den, np.ones(3)) == 0.0
-    with pytest.raises(ZeroVector):
-        S.rayleigh_quotient(num, den, np.zeros(3))
-    rng = np.random.default_rng(0)
-    gp = path3()
-    lp = gp.laplacian()
-    nump = lambda u: float(u @ (lp @ u))
-    for _ in range(25):
-        u = rng.standard_normal(3)
-        q = S.rayleigh_quotient(nump, den, u)
-        assert -1e-12 <= q <= 3.0 + 1e-12
-
-
 def test_minimax_consistency():
     cloud = M.sample_iid(M.UnitCircle(), 120, 13)
     g = G.build_graph(cloud, IND, 0.5)
@@ -171,6 +150,8 @@ def test_minimax_consistency():
 def test_k_too_large():
     with pytest.raises(KTooLarge):
         S.unnormalized_spectrum(clique3(), 3)
+    with pytest.raises(KTooLarge):
+        S.normalized_spectrum(clique3(), 3)
 
 
 def test_subspace_alignment_identical_and_orthogonal():
@@ -444,7 +425,7 @@ def test_disconnected_graph_refused_before_any_solve(monkeypatch, name, n, c, se
     model = M.make_manifold(name)
     g = G.build_graph(M.sample_iid(model, n, seed), IND, G.epsilon_schedule(n, model.m, c))
     assert g.n > S.DENSE_SOLVER_MAX_N
-    assert G.component_count(g) == G.connectivity_report(g).components > 1
+    assert G.connectivity_report(g).components > 1
 
     def no_solve(*args, **kwargs):
         raise AssertionError("eigsh called on a disconnected graph")
@@ -460,7 +441,7 @@ def test_many_components_refused_fast():
     # spent minutes on it before failing
     model = M.CliffordTorus()
     g = G.build_graph(M.sample_iid(model, 4096, 1), IND, G.epsilon_schedule(4096, 2, 0.5))
-    assert G.component_count(g) == 269
+    assert G.connectivity_report(g).components == 269
     for mode in (S.MODE_UNNORMALIZED, S.MODE_NORMALIZED):
         start = time.perf_counter()
         with pytest.raises(DisconnectedGraph, match="269 components"):
