@@ -16,19 +16,19 @@ profiles = [K.indicator_kernel(), K.triangular_kernel(1.0),
 print("profile values eta(t) at t = 0, 1/2, 3/4, 1, 5/4:")
 ts = np.array([0.0, 0.5, 0.75, 1.0, 1.25])
 for kernel in profiles:
-    print(f"  {kernel.label:12s} {np.round(kernel.eta(ts), 4)}")
+    print(f"  {kernel.label:14s} {np.round(kernel.eta(ts), 4)}")
 
 print("\nmoment constants per intrinsic dimension:")
 for kernel in profiles:
     for m in (1, 2, 3):
         c = K.kernel_constants(kernel, m)
-        print(f"  {kernel.label:12s} m={m}  sigma_eta={c.sigma_eta:.6f}  "
+        print(f"  {kernel.label:14s} m={m}  sigma_eta={c.sigma_eta:.6f}  "
               f"sigma_tilde_eta={c.sigma_tilde_eta:.6f}")
 
 print("\nclosed forms agree with quadrature:")
 for kernel in profiles:
     gap = abs(K.sigma_eta(kernel, 2, "closed") - K.sigma_eta(kernel, 2, "quadrature"))
-    print(f"  {kernel.label:12s} |closed - quad| = {gap:.2e}")
+    print(f"  {kernel.label:14s} |closed - quad| = {gap:.2e}")
 
 print("\nvalidation catches broken profiles:")
 increasing = K.custom_kernel(lambda t: np.minimum(t, 1.0), lipschitz_bound=1.0)

@@ -55,11 +55,12 @@ def _cloud_to_json(cloud: PointCloud, manifold: str, density: str) -> dict:
 def _cloud_from_json(obj: dict) -> PointCloud:
     model = make_manifold(obj["manifold"], parse_density(obj["density"]))
     n = int(obj["n"])
-    params = np.asarray(obj["params_intrinsic"], dtype=float)
+    params = np.atleast_2d(np.asarray(obj["params_intrinsic"], dtype=float).T).T  # (n,) -> (n, 1)
     ambient = np.asarray(obj["points_ambient"], dtype=float)
-    if params.shape[:1] != (n,) or ambient.shape[:1] != (n,):
-        raise LapeigError(f"cloud n={n} does not match its point arrays (ambient "
-                          f"{ambient.shape}, intrinsic {params.shape})")
+    if params.shape != (n, model.m) or ambient.shape != (n, model.d):
+        raise LapeigError(f"a {model.kind} cloud of n={n} needs intrinsic ({n}, {model.m}) "
+                          f"and ambient ({n}, {model.d}) arrays, got {params.shape} "
+                          f"and {ambient.shape}")
     if model.m == 1:
         params = params.ravel()
     return PointCloud(manifold_id=model.label, n=n, seed=int(obj["seed"]),
@@ -92,11 +93,16 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
                              shape=(n, n)).tocsr()
     if (kmat != kmat.T).nnz:
         raise LapeigError("graph kernel matrix K is not symmetric")
+    eps, m = obj["eps"], obj["m"]
+    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+        raise LapeigError(f"graph eps must be a finite positive number, got {eps!r}")
+    if not (isinstance(m, (int, float)) and m >= 1 and float(m).is_integer()):
+        raise LapeigError(f"graph m must be an integer >= 1, got {m!r}")
     degrees = np.asarray(kmat.sum(axis=1)).ravel()
-    graph = NeighborhoodGraph(n=n, eps=float(obj["eps"]), kernel_id=obj["kernel"],
+    graph = NeighborhoodGraph(n=n, eps=float(eps), kernel_id=obj["kernel"],
                               metric=obj.get("metric", "ambient"),
                               kernel_matrix=kmat, degrees=degrees)
-    return graph, int(obj["m"])
+    return graph, int(m)
 
 
 def _cmd_kernel_info(args) -> int:

@@ -121,7 +121,7 @@ def triangular_kernel(slope: float) -> KernelProfile:
     if not 0.0 < slope < 4.0 / 3.0:
         raise ValueError("triangular slope must lie in (0, 4/3) to keep eta(3/4) positive")
     return KernelProfile(kind="triangular", slope=slope, lipschitz_bound=slope,
-                         label=f"triangular:{slope:g}")
+                         label=f"triangular:{float(slope)!r}")
 
 
 def truncated_gaussian_kernel() -> KernelProfile:

@@ -2,10 +2,10 @@
 
 The comparison half works on finite-dimensional inner-product spaces given
 as matrices: an SPD Gram matrix for the inner product and a symmetric PSD
-matrix for the quadratic form.  E3 and E4 of the eigenvector comparison
-are single Rayleigh quotients, so their suprema are exact pencil
-eigenvalues.  E1, E2 and the eigenvalue transfer check are differences of
-two quotients; their suprema are estimated by a dense sphere grid with two
+matrix for the quadratic form.  The eigenvector comparison covers the one
+block (2, 2), so its E3 and E4 are single Rayleigh quotients at u_2 and
+exact.  E1, E2 and the eigenvalue transfer check are differences of two
+quotients; their suprema are estimated by a dense sphere grid with two
 local refinement passes and carry an explicit slack term derived from the
 grid modulus, since the grid can only underestimate a supremum.
 """
@@ -25,7 +25,6 @@ from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolati
 from .graph import NeighborhoodGraph, connectivity_report
 from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 
-DENSE_SOLVER_MAX_N = 1024
 RESIDUAL_TOL = 1e-8
 LANCZOS_NCV = 40
 LANCZOS_MAXITER = 500
@@ -61,33 +60,33 @@ def _smallest_eigenpairs(mat: sparse.spmatrix,
                          count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
     """Smallest eigenpairs of a symmetric PSD, diagonally dominant matrix.
 
-    Dense ``eigh`` up to DENSE_SOLVER_MAX_N; above it ARPACK's regular-mode
-    Lanczos for the smallest algebraic values (one SpMV per step, no
-    factorization), from a seeded start vector and with LANCZOS_NCV basis
-    vectors and at most LANCZOS_MAXITER restarts.  A single Krylov start
-    vector finds one copy of an exactly repeated eigenvalue only, so the
-    multiplicity of zero is not read from these values: graph_spectrum
-    counts components first.  Returns (values, unit vectors, solver,
-    residual); a failed ARPACK run, or a residual above RESIDUAL_TOL, is a
-    SolverFailure.
+    ARPACK's regular-mode Lanczos for the smallest algebraic values (one
+    SpMV per step, no factorization), from a seeded start vector and with
+    LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.  Dense
+    ``eigh`` runs only for count >= n - 1, where ``eigsh`` refuses a sparse
+    matrix.  A single Krylov start vector finds one copy of an exactly
+    repeated eigenvalue only, so the multiplicity of zero is not read from
+    these values: graph_spectrum counts components first.  Returns (values,
+    unit vectors, solver, residual); a failed solve of either kind, or a
+    residual above RESIDUAL_TOL, is a SolverFailure.
     """
     n = mat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
-    if n <= DENSE_SOLVER_MAX_N or count >= n - 1:
-        solver = SOLVER_DENSE
-        vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
-    else:
-        solver = SOLVER_LANCZOS
-        v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
-        try:
+    solver = SOLVER_DENSE if count >= n - 1 else SOLVER_LANCZOS
+    try:
+        if solver == SOLVER_DENSE:
+            vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
+        else:
+            v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
             vals, vecs = eigsh(mat, k=count, which="SA", tol=0, v0=v0,
                                ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
                                maxiter=LANCZOS_MAXITER)
-        except (RuntimeError, MemoryError) as exc:  # ARPACK errors are RuntimeErrors
-            raise SolverFailure(str(exc)) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+    # ARPACK errors are RuntimeErrors; LAPACK's are LinAlgErrors (a ValueError)
+    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
+        raise SolverFailure(f"{solver} solve of a {n}x{n} matrix failed: {exc!r}") from exc
     bound = 2.0 * float(mat.diagonal().max())
     worst = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
     if not worst <= RESIDUAL_TOL * bound:
@@ -181,7 +180,6 @@ class AlignmentReport:
     f_bound: float | None = None
     f_slack: float | None = None
     gap: float | None = None
-    spread: float | None = None
     max_grid_residual: float | None = None
     conclusion_ok: bool | None = None
 
@@ -251,8 +249,6 @@ def clamped_form(form: np.ndarray, inner: np.ndarray, lam: float,
 
 def _sphere_grid(dim: int, density: int) -> np.ndarray:
     """Coefficient grid on the unit sphere S^(dim-1); Rayleigh objectives are even."""
-    if dim == 1:
-        return np.array([[1.0]])
     if dim == 2:
         phi = np.linspace(0.0, math.pi, density, endpoint=False)
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -281,15 +277,16 @@ def _grid_supremum(objective, dim: int, density: int):
 
     ``objective(C)`` maps coefficient rows to values.  The slack is the
     largest change of the objective between neighboring samples of the
-    coarse grid, an explicit stand-in for the unknown grid gap.
+    coarse grid, an explicit stand-in for the unknown grid gap.  On a 1-D
+    span the sphere is one direction up to sign, so the value is exact.
     """
+    if dim == 1:
+        return float(objective(np.ones((1, 1)))[0]), 0.0
     grid = _sphere_grid(dim, density)
     vals = objective(grid)
     best = int(np.nanargmax(vals))
     sup = float(vals[best])
     center = grid[best]
-    if dim == 1:
-        return sup, 0.0
     finite = vals[np.isfinite(vals)]
     modulus = float(np.max(np.abs(np.diff(finite)))) if finite.size > 1 else 0.0
     radius = math.pi / density
@@ -302,13 +299,6 @@ def _grid_supremum(objective, dim: int, density: int):
             center = local[j]
         radius *= 0.25
     return sup, modulus
-
-
-def _ratio_pair(form: np.ndarray, inner: np.ndarray, basis: np.ndarray):
-    """Small matrices (A, B) with R(span coef c) = (c A c) / (c B c)."""
-    a = basis.T @ form @ basis
-    b = basis.T @ inner @ basis
-    return a, b
 
 
 def _quad(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -326,6 +316,18 @@ def _rayleigh_gap_objective(num_a, den_a, num_b, den_b):
         out[~np.isfinite(first) & ~np.isfinite(second)] = np.nan
         return out
     return obj
+
+
+def _excess_supremum(basis, mapping, form_a, inner_a, form_b, inner_b, density: int):
+    """Gridded sup over unit c of R_a(mapping basis c) - R_b(basis c), and its slack.
+
+    R_a and R_b are the Rayleigh quotients of (form_a, inner_a) and
+    (form_b, inner_b); the slack is the grid modulus of _grid_supremum.
+    """
+    mapped = mapping @ basis
+    objective = _rayleigh_gap_objective(mapped.T @ form_a @ mapped, mapped.T @ inner_a @ mapped,
+                                        basis.T @ form_b @ basis, basis.T @ inner_b @ basis)
+    return _grid_supremum(objective, basis.shape[1], density)
 
 
 @dataclass(frozen=True)
@@ -349,14 +351,11 @@ def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int,
     """
     if k > 3:
         raise SpanTooLarge("tested span must have dimension at most 3")
+    d1, inner1, d2, inner2, q1 = (np.asarray(a, dtype=float)
+                                  for a in (d1, inner1, d2, inner2, q1))
     vals1, vecs1 = form_eigensystem(d1, inner1)
     vals2, _ = form_eigensystem(d2, inner2)
-    basis = vecs1[:, :k]
-    mapped = np.asarray(q1) @ basis
-    num_a, den_a = _ratio_pair(np.asarray(d2), np.asarray(inner2), mapped)
-    num_b, den_b = _ratio_pair(np.asarray(d1), np.asarray(inner1), basis)
-    e_sup, modulus = _grid_supremum(
-        _rayleigh_gap_objective(num_a, den_a, num_b, den_b), k, grid_density)
+    e_sup, modulus = _excess_supremum(vecs1[:, :k], q1, d2, inner2, d1, inner1, grid_density)
     slack = modulus + 1e-9 * max(1.0, abs(e_sup))
     margins = vals1[:k] + e_sup + slack - vals2[:k]
     return ComparisonCheck(e_sup=e_sup, slack=slack, values_domain=vals1[:k],
@@ -364,101 +363,63 @@ def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int,
                            passed=bool(np.all(margins >= 0.0)))
 
 
-def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2, k: int, l: int,
+def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2,
                            grid_density: int = 256) -> AlignmentReport:
-    """Quantities controlling how the k..l eigenvector block transfers.
+    """Quantities controlling how the second eigenvector u_2 transfers to f_2.
 
-    Indices are 1-based into the ascending eigenvalue lists and need
-    2 <= k <= l with l + 1 <= 3 (the E1/E2 spans have dimension l + 1 and
-    are gridded up to dimension 3), so the one admissible block is the 1-D
-    block (2, 2); any other raises SpanTooLarge or ValueError.  Estimates E1
-    and E2 on sphere grids, takes E3 and E4 from exact pencils, assembles
-    the combined bound F, and verifies the block-projection conclusion on
-    a grid of the source span.  Raises GapViolation when the half-gap does
-    not dominate the Rayleigh errors and FExceedsOne when the bound is vacuous.
+    u_j and f_j are the inner-orthonormal eigenvectors of (d1, inner1) and
+    (d2, inner2), ascending; both spaces need dimension at least 3
+    (ValueError otherwise).  (2, 2) is the only block compared, since any
+    larger one needs E1 and E2 over spans above dimension 3, which are not
+    gridded.  E1 and E2 are gridded over span{f_1, f_2, f_3} (and q1 u_2)
+    and span{u_1, u_2, u_3}; E3 (roundtrip defect) and E4 (norm distortion)
+    are exact quotients at u_2.  The combined bound F must cover the
+    projection residual of q1 u_2 against f_2.  Raises GapViolation when
+    the half-gap does not dominate the Rayleigh errors and FExceedsOne when
+    the bound is vacuous.
     """
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    inner1 = np.asarray(inner1, dtype=float)
-    inner2 = np.asarray(inner2, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    n1 = d1.shape[0]
-    n2 = d2.shape[0]
-    if not (2 <= k <= l <= min(n1, n2) - 1):
-        raise ValueError("need 2 <= k <= l <= dim - 1 (1-based indices)")
-    if l + 1 > 3:
-        raise SpanTooLarge("spans of dimension above 3 are not gridded")
+    d1, inner1, d2, inner2, q1, q2 = (np.asarray(a, dtype=float)
+                                      for a in (d1, inner1, d2, inner2, q1, q2))
+    if min(d1.shape[0], d2.shape[0]) < 3:
+        raise ValueError("the (2, 2) comparison needs spaces of dimension at least 3")
 
     vals1, vecs1 = form_eigensystem(d1, inner1)
     vals2, vecs2 = form_eigensystem(d2, inner2)
-    s_basis = vecs1[:, k - 1:l]
-    low1 = vecs1[:, :l + 1]
-    low2 = vecs2[:, :l + 1]
+    u2 = vecs1[:, 1]
+    mapped = q1 @ u2
 
-    # E1 over span{u_1..u_(l+1)} union q1(S); E2 over span{f_1..f_(l+1)}
-    def sup_over(basis, form_num, inner_num, mapping, form_den, inner_den):
-        num_a, den_a = _ratio_pair(form_num, inner_num, mapping @ basis)
-        num_b, den_b = _ratio_pair(form_den, inner_den, basis)
-        return _grid_supremum(
-            _rayleigh_gap_objective(num_a, den_a, num_b, den_b),
-            basis.shape[1], grid_density)
+    # E1 over span{f_1, f_2, f_3} and over q1 u_2; E2 over span{u_1, u_2, u_3}
+    e1_a, mod1_a = _excess_supremum(vecs2[:, :3], q2, d1, inner1, d2, inner2, grid_density)
+    e1_b, mod1_b = _excess_supremum(mapped[:, None], q2, d1, inner1, d2, inner2, grid_density)
+    e1, mod1 = max(e1_a, e1_b), max(mod1_a, mod1_b)
+    e2, mod2 = _excess_supremum(vecs1[:, :3], q1, d2, inner2, d1, inner1, grid_density)
 
-    e1_a, mod1_a = sup_over(low2, d1, inner1, q2, d2, inner2)
-    e1_b, mod1_b = sup_over(q1 @ s_basis, d1, inner1, q2, d2, inner2)
-    e1 = max(e1_a, e1_b)
-    mod1 = max(mod1_a, mod1_b)
-    e2, mod2 = sup_over(low1, d2, inner2, q1, d1, inner1)
+    # E3: relative roundtrip defect; E4: relative norm distortion, both at u_2
+    norm_sq = u2 @ inner1 @ u2
+    defect = u2 - q2 @ mapped
+    e3 = math.sqrt(max(float(defect @ inner1 @ defect / norm_sq), 0.0))
+    e4 = abs(math.sqrt(max(float(mapped @ inner2 @ mapped / norm_sq), 0.0)) - 1.0)
 
-    # E3: relative roundtrip defect; E4: relative norm distortion, both over S
-    resid_map = np.eye(n1) - q2 @ q1
-    a3, b3 = _ratio_pair(resid_map.T @ inner1 @ resid_map, inner1, s_basis)
-    e3 = math.sqrt(max(float(sla.eigh(a3, b3, eigvals_only=True)[-1]), 0.0))
-    a4, b4 = _ratio_pair(q1.T @ inner2 @ q1, inner1, s_basis)
-    ratios = np.maximum(sla.eigh(a4, b4, eigvals_only=True), 0.0)
-    e4 = float(np.max(np.abs(np.sqrt(ratios) - 1.0)))
-
-    gamma = 0.5 * min(vals1[k - 1] - vals1[k - 2], vals1[l] - vals1[l - 1])
-    spread = vals1[l - 1] - vals1[k - 1]
+    gamma = 0.5 * min(vals1[1] - vals1[0], vals1[2] - vals1[1])
     if gamma <= max(e1, e2):
         raise GapViolation(
             f"half-gap {gamma:.3g} does not exceed the Rayleigh errors "
             f"E1={e1:.3g}, E2={e2:.3g}")
-    lam_l = vals1[l - 1]
-    coeff = (lam_l / gamma + 2.0) * l + 1.0
-    f_bound = (coeff * (max(e1, 0.0) + max(e2, 0.0)) + 4.0 * lam_l * e3 + spread) / gamma
+    lam = vals1[1]
+    coeff = (lam / gamma + 2.0) * 2.0 + 1.0
+    f_bound = (coeff * (max(e1, 0.0) + max(e2, 0.0)) + 4.0 * lam * e3) / gamma
     f_slack = coeff * (mod1 + mod2) / gamma
     if f_bound >= 1.0:
         raise FExceedsOne(f"combined bound F={f_bound:.3g} is not below one")
 
-    # conclusion (i): block-projection residual of q1(S) against the target block
-    target = vecs2[:, k - 1:l]
-    proj = inner2 @ target  # coefficients of the inner2-orthonormal block
-
-    def residual(vectors: np.ndarray) -> np.ndarray:
-        total = np.einsum("ic,ij,jc->c", vectors, inner2, vectors)
-        coef = proj.T @ vectors
-        kept = np.einsum("bc,bc->c", coef, coef)
-        return np.clip(1.0 - kept / np.maximum(total, 1e-300), 0.0, 1.0)
-
-    per_basis = residual(q1 @ s_basis)
-    grid = _sphere_grid(s_basis.shape[1], max(64, grid_density // 4))
-    grid_resid = residual(q1 @ (s_basis @ grid.T))
-    max_grid = float(np.max(grid_resid))
-
-    mapped = q1 @ s_basis
-    gram = mapped.T @ inner2 @ mapped
-    tchol = np.linalg.cholesky(gram + 1e-300 * np.eye(gram.shape[0]))
-    mapped_on = mapped @ np.linalg.inv(tchol).T
-    cross = mapped_on.T @ inner2 @ target
-    svals = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
-
+    # conclusion (i): projection residual of q1 u_2 against f_2, in inner2
+    cos_sq = (vecs2[:, 1] @ inner2 @ mapped) ** 2 / max(mapped @ inner2 @ mapped, 1e-300)
+    residual = float(np.clip(1.0 - cos_sq, 0.0, 1.0))
     return AlignmentReport(
-        principal_angles=np.sort(np.arccos(svals)),
-        residuals=per_basis,
+        principal_angles=np.array([math.acos(min(math.sqrt(cos_sq), 1.0))]),
+        residuals=np.array([residual]),
         e1=e1, e2=e2, e3=e3, e4=e4,
-        f_bound=f_bound, f_slack=f_slack,
-        gap=gamma, spread=spread,
-        max_grid_residual=max_grid,
-        conclusion_ok=bool(max_grid <= f_bound + f_slack + 1e-9),
+        f_bound=f_bound, f_slack=f_slack, gap=gamma,
+        max_grid_residual=residual,
+        conclusion_ok=bool(residual <= f_bound + f_slack + 1e-9),
     )

@@ -187,8 +187,7 @@ def test_criterion_09_form_comparison_suite():
         q1 = np.eye(n) + 0.005 * rng.standard_normal((n, n))
         try:
             rep = S.eigenvector_comparison(d1, np.eye(n), d2, inner2, q1,
-                                           np.linalg.inv(q1), 2, 2,
-                                           grid_density=128)
+                                           np.linalg.inv(q1), grid_density=128)
         except (GapViolation, FExceedsOne):
             continue
         block_checks += 1

@@ -42,14 +42,14 @@ def test_sample_graph_spectrum_pipeline(tmp_path, capsys):
     assert len(spec["values"]) == 5
     assert len(spec["rescaled"]) == 5
     assert spec["values"] == sorted(spec["values"])
-    assert spec["solver"] == "dense"
+    assert spec["solver"] == "lanczos"
     assert 0.0 <= spec["residual"] <= 1e-8
 
     assert run(["spectrum", "--in", str(graph_path), "--k", "2",
                 "--normalized"]) == 0
     nspec = json.loads(capsys.readouterr().out)
     assert nspec["mode"] == "normalized"
-    assert nspec["solver"] == "dense"
+    assert nspec["solver"] == "lanczos"
     assert 0.0 <= nspec["residual"] <= 1e-8
 
 
@@ -138,23 +138,41 @@ def test_validation_exit_code(tmp_path):
                     "--out", str(cloud_path)]) == 2
     assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", "1",
                 "--out", str(cloud_path)]) == 0
-    # a cloud whose n disagrees with its points
     cloud = json.loads(cloud_path.read_text())
-    cloud_path.write_text(json.dumps(dict(cloud, n=60)))
+    # n that disagrees with the points, 2-column circle params (once flattened
+    # into twice the chart points), 3-D circle points
+    params2 = [[t[0], t[0]] for t in cloud["params_intrinsic"]]
+    points3 = [x + [0.0] for x in cloud["points_ambient"]]
+    for bad in (dict(cloud, n=60), dict(cloud, params_intrinsic=params2),
+                dict(cloud, points_ambient=points3)):
+        cloud_path.write_text(json.dumps(bad))
+        assert run(["graph", "--in", str(cloud_path), "--eps", "1", "--metric", "intrinsic",
+                    "--out", str(tmp_path / "g.json")]) == 2
+    # a sphere cloud with 1-column params
+    assert run(["sample", "--manifold", "sphere", "--n", "50", "--seed", "1",
+                "--out", str(cloud_path)]) == 0
+    sphere = json.loads(cloud_path.read_text())
+    params1 = [t[:1] for t in sphere["params_intrinsic"]]
+    cloud_path.write_text(json.dumps(dict(sphere, params_intrinsic=params1)))
     assert run(["graph", "--in", str(cloud_path), "--eps", "1",
                 "--out", str(tmp_path / "g.json")]) == 2
     # the connected path 0-1-2, then with empty triplets, an asymmetric K, a
     # negative weight (eigenvalue -1) and a fractional index
     graph_path = tmp_path / "graph.json"
+    header = {"n": 3, "eps": 0.5, "kernel": "indicator", "metric": "ambient", "m": 1}
     path = [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [0, 1, 1.0], [1, 0, 1.0],
             [1, 2, 1.0], [2, 1, 1.0]]
     for triplets, code in ((path, 0), ([], 2), (path + [[0, 2, 1.0]], 2),
                            (path + [[0, 2, -1.0], [2, 0, -1.0]], 2),
                            (path + [[0, 1.5, 1.0], [1.5, 0, 1.0]], 2)):
-        graph_path.write_text(json.dumps({"n": 3, "eps": 0.5, "kernel": "indicator",
-                                          "metric": "ambient", "m": 1,
-                                          "triplets": triplets}))
+        graph_path.write_text(json.dumps(dict(header, triplets=triplets)))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == code
+    # eps that is not finite and positive (a rescaled -8, infinities, NaN), and
+    # m that is not an integer >= 1
+    for key, value in (("eps", -0.5), ("eps", 0.0), ("eps", math.nan), ("m", 1.7),
+                       ("m", 0), ("m", None)):
+        graph_path.write_text(json.dumps(dict(header, triplets=path, **{key: value})))
+        assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
 
 
 def test_eps_rule_forms(tmp_path):
@@ -191,8 +209,7 @@ def test_disconnected_graph(tmp_path, monkeypatch):
     assert run(["align", "--n", "256", "--trials", "1", "--eps", "fixed:0.05",
                 "--out", str(tmp_path / "align.json")]) == 2
 
-    # above the dense cutoff (sphere, n=2048, auto:0.5, seed 2: two components),
-    # refused before any solve
+    # sphere, n=2048, auto:0.5, seed 2: two components, refused before any solve
     assert run(["sample", "--manifold", "sphere", "--n", "2048", "--seed", "2",
                 "--out", str(cloud_path)]) == 0
     assert run(["graph", "--in", str(cloud_path), "--eps", "auto:0.5",

@@ -6,6 +6,7 @@ import pytest
 from lapeig import kernels as K
 
 BUILTINS = [K.indicator_kernel(), K.triangular_kernel(1.0), K.truncated_gaussian_kernel()]
+BUILTIN_IDS = ["indicator", "triangular:1", "gauss"]
 
 
 def test_eta_indicator_values():
@@ -34,13 +35,13 @@ def test_psi_indicator_values():
     assert ind.psi(2.0) == 0.0
 
 
-@pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
 def test_psi_below_half_eta(kernel):
     t = np.linspace(0.0, 1.0, 513)
     assert np.all(kernel.psi(t) <= kernel.eta(t) / 2.0 + 1e-12)
 
 
-@pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
 def test_psi_matches_quadrature(kernel):
     from scipy.integrate import quad
     for t in (0.0, 0.3, 0.8):
@@ -63,7 +64,7 @@ def test_sigma_tilde_exact_values():
         math.pi / 3.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_closed_form_matches_quadrature(kernel, m):
     assert K.sigma_eta(kernel, m, "closed") == pytest.approx(
@@ -72,7 +73,7 @@ def test_closed_form_matches_quadrature(kernel, m):
         K.sigma_tilde_eta(kernel, m, "quadrature"), abs=1e-9)
 
 
-@pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rescaling_invariance(kernel, m):
     # eta(3t/4) at scale 3 eps/4 leaves the normalization product unchanged
@@ -139,5 +140,8 @@ def test_parse_kernel():
     assert K.parse_kernel("indicator").kind == "indicator"
     assert K.parse_kernel("triangular:0.5").slope == 0.5
     assert K.parse_kernel("gauss").kind == "gauss"
+    for slope in (0.5, 1.0 / 3.0, 1.2):  # the label is the spec the kernel came from
+        kernel = K.triangular_kernel(slope)
+        assert K.parse_kernel(kernel.label) == kernel
     with pytest.raises(ValueError):
         K.parse_kernel("boxcar")

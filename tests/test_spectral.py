@@ -64,16 +64,50 @@ def test_clique_normalized():
     assert np.allclose(spec.values, [0.0, 1.0, 1.0], atol=1e-12)
 
 
-def test_sparse_solver_matches_dense(monkeypatch):
+def test_sparse_solver_matches_dense():
     cloud = M.sample_iid(M.UnitCircle(), 200, 3)
     g = G.build_graph(cloud, IND, G.epsilon_schedule(200, 1))
-    monkeypatch.setattr(S, "DENSE_SOLVER_MAX_N", 10_000)
-    dense = S.unnormalized_spectrum(g, 4)
-    monkeypatch.setattr(S, "DENSE_SOLVER_MAX_N", 8)
-    sparse = S.unnormalized_spectrum(g, 4)
-    assert np.allclose(dense.values, sparse.values, atol=1e-8)
-    rep = S.subspace_alignment(dense.vectors[:, 1:3], sparse.vectors[:, 1:3])
-    assert np.max(rep.residuals) < 1e-8
+    lap = g.laplacian().toarray()
+    inv_sqrt = 1.0 / np.sqrt(g.degrees)
+    for spec, mat, back in ((S.unnormalized_spectrum(g, 4), lap, np.ones(g.n)),
+                            (S.normalized_spectrum(g, 4),
+                             inv_sqrt[:, None] * lap * inv_sqrt[None, :], inv_sqrt)):
+        assert spec.solver == S.SOLVER_LANCZOS
+        vals, vecs = sla.eigh(mat, subset_by_index=[0, 4])
+        assert np.allclose(spec.values, vals, atol=1e-8)
+        rep = S.subspace_alignment(vecs[:, 1:3] * back[:, None], spec.vectors[:, 1:3])
+        assert np.max(rep.residuals) < 1e-8
+
+
+def test_dense_only_where_arpack_cannot_run(monkeypatch):
+    # eigsh refuses count >= n - 1 on a sparse matrix; every other solve is Lanczos
+    def no_lanczos(*args, **kwargs):
+        raise RuntimeError("eigsh reached")
+
+    monkeypatch.setattr(S, "eigsh", no_lanczos)
+    for solve in (S.unnormalized_spectrum, S.normalized_spectrum):
+        assert solve(path3(), 2).solver == S.SOLVER_DENSE
+        with pytest.raises(SolverFailure, match="eigsh reached"):
+            solve(path3(), 0)
+
+
+@pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
+def test_lanczos_finds_both_copies_of_double_eigenvalues(mode):
+    # an evenly spaced ring is a circulant graph: every nonzero eigenvalue is double
+    # (eps = 0.047 lies between the 4th and 5th neighbour chords, 0.0419 and 0.0524)
+    t = 2.0 * math.pi * np.arange(600) / 600
+    g = G.build_graph(M.ambient_cloud(np.stack([np.cos(t), np.sin(t)], axis=-1)), IND, 0.047)
+    spec, _ = S.graph_spectrum(g, 6, mode, IND, 1)
+    assert spec.solver == S.SOLVER_LANCZOS
+    lap = g.laplacian().toarray()
+    if mode == S.MODE_NORMALIZED:
+        lap = lap / np.sqrt(np.outer(g.degrees, g.degrees))
+    ref = np.linalg.eigvalsh(lap)[:7]
+    tol = 1e-12 * 2.0 * lap.diagonal().max()
+    pairs = ref[1:].reshape(3, 2)
+    assert np.all(np.ptp(pairs, axis=1) <= tol)
+    assert np.all(np.diff(pairs[:, 0]) > 1e6 * tol)
+    np.testing.assert_allclose(spec.values, ref, rtol=0.0, atol=tol)
 
 
 def test_normalized_equals_symmetric_similarity():
@@ -230,9 +264,9 @@ def test_eigenvalue_comparison_random_pairs():
 def test_eigenvector_comparison_isometry():
     form = np.diag([0.5, 1.0, 2.0, 4.0, 6.0, 9.0])
     eye = np.eye(6)
-    rep = S.eigenvector_comparison(form, eye, form, eye, eye, eye, 2, 2, 128)
+    rep = S.eigenvector_comparison(form, eye, form, eye, eye, eye, 128)
     assert rep.e1 == rep.e2 == rep.e3 == rep.e4 == 0.0
-    assert rep.f_bound == pytest.approx(0.0, abs=1e-12)  # spread s = 0 for k = l
+    assert rep.f_bound == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(rep.residuals, 0.0, atol=1e-12)
     assert rep.conclusion_ok
 
@@ -250,7 +284,7 @@ def test_eigenvector_comparison_perturbed():
         q1 = np.eye(n) + 0.005 * rng.standard_normal((n, n))
         try:
             rep = S.eigenvector_comparison(d1, np.eye(n), d2, inner2, q1,
-                                           np.linalg.inv(q1), 2, 2, 128)
+                                           np.linalg.inv(q1), 128)
         except (GapViolation, FExceedsOne):
             continue
         checked += 1
@@ -266,15 +300,12 @@ def test_eigenvector_comparison_guards():
     # large perturbation makes the combined bound vacuous (or breaks the gap)
     rough = form + rand_psd(6, rng) * 5.0
     with pytest.raises((FExceedsOne, GapViolation)):
-        S.eigenvector_comparison(form, eye, rough, eye, np.eye(6), np.eye(6), 2, 2, 64)
+        S.eigenvector_comparison(form, eye, rough, eye, np.eye(6), np.eye(6), 64)
 
 
 def test_span_too_large():
     form = np.diag([0.5, 1.0, 2.0, 4.0, 6.0, 9.0])
     eye = np.eye(6)
-    # (2, 2) is the only admissible block: l = 3 needs a 4-D gridded span
-    with pytest.raises(SpanTooLarge):
-        S.eigenvector_comparison(form, eye, form, eye, eye, eye, 2, 3, 64)
     with pytest.raises(SpanTooLarge):
         S.eigenvalue_comparison_check(form, eye, form, eye, eye, k=4)
 
@@ -327,11 +358,10 @@ def test_graph_spectrum_refuses_disconnected_graph(mode):
     many = G.build_graph(M.ambient_cloud(pts), IND, 0.005)
     # no edge at all: L is the zero matrix
     isolated = G.build_graph(M.ambient_cloud(pts), IND, 1e-6)
-    # two clusters above the dense cutoff: the Lanczos path
+    # two clusters of 600 samples each
     big = M.sample_iid(M.UnitCircle(), 600, 5).ambient
     large = G.build_graph(M.ambient_cloud(np.concatenate([big, big + 10.0])), IND,
                           G.epsilon_schedule(600, 1))
-    assert large.n > S.DENSE_SOLVER_MAX_N
     for g in (two, many, isolated, large):
         with pytest.raises(DisconnectedGraph):
             S.graph_spectrum(g, 3, mode, IND, 1)
@@ -343,14 +373,23 @@ def test_memory_error_becomes_solver_failure(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(S, "eigsh", out_of_memory)
-    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
-    g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
     with pytest.raises(SolverFailure):
-        S.unnormalized_spectrum(g, 4)
+        S.unnormalized_spectrum(_sparse_path_graph(), 4)
+
+
+def test_dense_failure_becomes_solver_failure(monkeypatch):
+    # LinAlgError is a ValueError, which the CLI would report as a validation error
+    for exc in (MemoryError(), np.linalg.LinAlgError("eigh did not converge")):
+        def failing_eigh(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(S.sla, "eigh", failing_eigh)
+        with pytest.raises(SolverFailure, match=type(exc).__name__):
+            S.unnormalized_spectrum(clique3(), 2)
 
 
 def _sparse_path_graph():
-    cloud = M.sample_iid(M.UnitCircle(), S.DENSE_SOLVER_MAX_N + 100, 3)
+    cloud = M.sample_iid(M.UnitCircle(), 300, 3)
     return G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
 
 
@@ -414,8 +453,8 @@ def test_lanczos_matches_direct_shift_invert():
             np.testing.assert_allclose(spec.values[1:], ref[1:], rtol=1e-12, atol=0.0)
 
 
-# Disconnected graphs above the dense cutoff where regular-mode Lanczos, started
-# from one vector, finds a single zero eigenvalue: (model, n, auto:<c>, seed)
+# Disconnected graphs where regular-mode Lanczos, started from one vector, finds
+# a single zero eigenvalue: (model, n, auto:<c>, seed)
 LANCZOS_MISSES_A_ZERO = [("sphere", 2048, 0.5, 2), ("sphere", 4096, 0.45, 1),
                          ("singular", 2048, 1.0, 1), ("singular", 4096, 1.0, 4)]
 
@@ -424,7 +463,6 @@ LANCZOS_MISSES_A_ZERO = [("sphere", 2048, 0.5, 2), ("sphere", 4096, 0.45, 1),
 def test_disconnected_graph_refused_before_any_solve(monkeypatch, name, n, c, seed):
     model = M.make_manifold(name)
     g = G.build_graph(M.sample_iid(model, n, seed), IND, G.epsilon_schedule(n, model.m, c))
-    assert g.n > S.DENSE_SOLVER_MAX_N
     assert G.connectivity_report(g).components > 1
 
     def no_solve(*args, **kwargs):
