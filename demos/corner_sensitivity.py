@@ -25,12 +25,16 @@ mids = H.face_midpoint_deviations(config)
 for eps, dev in mids:
     print(f"  eps={eps:5.3f}: |defect| = {dev:.6f}")
 
-print("\nnear a corner (arc distance eps/2): defect grows like 1/eps")
+print("\nat arc distance eps/4, eps/2, 3 eps/4 and 3 eps/2 from the corner (0, 0):")
+print("the defect grows like 1/eps inside the corner layer and fades outside it")
+layer = np.array([0.25, 0.5, 0.75, 1.5])
 for eps in config.eps_grid:
-    theta0 = (eps / 2.0) * math.pi / 2.0
-    val = SG.sensitivity_operator(config, h, (theta0, 0.0), eps, rtol=1e-5)
-    want = 0.5 * sigma * (math.pi / 2.0) ** 2 * math.sin(theta0)
-    print(f"  eps={eps:5.3f}: |defect| = {abs(val - want):.3f}")
+    theta0 = layer * eps * math.pi / 2.0
+    vals = SG.sensitivity_operator(config, h, np.stack([theta0, 0.0 * theta0], axis=1),
+                                   eps, rtol=1e-5)
+    want = 0.5 * sigma * (math.pi / 2.0) ** 2 * np.sin(theta0)
+    defects = "  ".join(f"{d:7.3f}" for d in np.abs(vals - want))
+    print(f"  eps={eps:5.3f}: |defect| = {defects}")
 
 print("\nL1 deviation over the whole product manifold vs its limit:")
 rows = H.corner_l1_sweep(config)

@@ -52,9 +52,19 @@ def _cloud_to_json(cloud: PointCloud, manifold: str, density: str) -> dict:
     }
 
 
+def _json_int(obj: dict, key: str, low: int, high: int | None = None) -> int:
+    """obj[key] if it is a JSON integer in [low, high); null, floats and strings are refused."""
+    val = obj[key]
+    if (isinstance(val, bool) or not isinstance(val, int) or val < low
+            or (high is not None and val >= high)):
+        span = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise LapeigError(f"{key} must be an integer {span}, got {val!r}")
+    return val
+
+
 def _cloud_from_json(obj: dict) -> PointCloud:
     model = make_manifold(obj["manifold"], parse_density(obj["density"]))
-    n = int(obj["n"])
+    n = _json_int(obj, "n", 1)
     params = np.atleast_2d(np.asarray(obj["params_intrinsic"], dtype=float).T).T  # (n,) -> (n, 1)
     ambient = np.asarray(obj["points_ambient"], dtype=float)
     if params.shape != (n, model.m) or ambient.shape != (n, model.d):
@@ -63,7 +73,7 @@ def _cloud_from_json(obj: dict) -> PointCloud:
                           f"and {ambient.shape}")
     if model.m == 1:
         params = params.ravel()
-    return PointCloud(manifold_id=model.label, n=n, seed=int(obj["seed"]),
+    return PointCloud(manifold_id=model.label, n=n, seed=_json_int(obj, "seed", 0, 2 ** 64),
                       params=params, ambient=ambient, model=model)
 
 
@@ -81,7 +91,7 @@ def _graph_to_json(graph: NeighborhoodGraph, m: int) -> dict:
 
 def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     trips = np.asarray(obj["triplets"], dtype=float)
-    n = int(obj["n"])
+    n = _json_int(obj, "n", 1)
     if trips.ndim != 2 or trips.shape[1] != 3:
         raise LapeigError("graph triplets must be a non-empty list of [i, j, weight]")
     idx, weights = trips[:, :2], trips[:, 2]

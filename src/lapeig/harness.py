@@ -288,23 +288,26 @@ def corner_l1_sweep(config: singular.SensitivityConfig,
 
     The defect is independent of the circle factor, so the integral
     reduces to the square boundary times the circle volume.  The node
-    count per face is ``config.nodes_per_face(eps)`` unless given.
+    count per face is ``config.nodes_per_face(eps)`` unless given; all
+    nodes of one eps go to one ``sensitivity_operator`` call.
     """
+    if nodes_per_face is not None and nodes_per_face < 1:
+        raise ValueError(f"nodes_per_face must be at least 1, got {nodes_per_face}")
     limit = singular.corner_defect_l1_limit(config, 2)
     h, target = _defect_reference(config.alpha)
     rows = []
     for eps in config.eps_grid:
-        npf = nodes_per_face or config.nodes_per_face(eps)
+        npf = config.nodes_per_face(eps) if nodes_per_face is None else nodes_per_face
+        s_vals = np.arange(4)[:, None] + (np.arange(npf) + 0.5) / npf
+        theta0 = s_vals.ravel() * math.pi / 2.0
+        # the operator passes through zeros along the faces, so the
+        # per-node stop needs an absolute floor as well
+        vals = singular.sensitivity_operator(
+            config, h, np.stack([theta0, np.zeros_like(theta0)], axis=1), eps,
+            rtol=1e-4, atol=1e-7)
         total = 0.0
-        for face in range(4):
-            s_vals = face + (np.arange(npf) + 0.5) / npf
-            for s0 in s_vals:
-                theta0 = s0 * math.pi / 2.0
-                # the operator passes through zeros along the faces, so the
-                # per-node stop needs an absolute floor as well
-                val = singular.sensitivity_operator(config, h, (theta0, 0.0), eps,
-                                                    rtol=1e-4, atol=1e-7)
-                total += abs(val - target(theta0)) / npf
+        for t, val in zip(theta0, vals.tolist()):
+            total += abs(val - target(t)) / npf
         rows.append(SensitivityRow(eps=float(eps),
                                    l1_deviation=total * 2.0 * math.pi * config.m2_radius,
                                    limit_rhs=limit))

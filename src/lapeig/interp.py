@@ -2,9 +2,11 @@
 
 The interpolation operator averages sample values with the tail-integral
 weights psi(d/eps), using the intrinsic distance (the graph deliberately
-uses the ambient one; the mismatch is part of the method).  Where the
-local mass vanishes the operator is undefined and raises, rather than
-inventing a default value.
+uses the ambient one; the mismatch is part of the method).  The weights
+are a sparse matrix: a k-d tree on the embedded points finds the pairs
+whose chord is within the kernel's support times eps, and only their
+intrinsic distances are computed.  Where the local mass vanishes the
+operator is undefined and raises, rather than inventing a default value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .errors import CoverageGap, UndefinedAtPoint, UnsupportedDimension
 from .kernels import KernelProfile
@@ -30,8 +34,8 @@ class InterpolationContext:
     def __post_init__(self):
         if self.cloud.model is None:
             raise ValueError("interpolation needs a cloud with a manifold model")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
 
 
 def restrict(f, cloud: PointCloud) -> np.ndarray:
@@ -42,22 +46,42 @@ def restrict(f, cloud: PointCloud) -> np.ndarray:
     return vals
 
 
-def _psi_weights(ctx: InterpolationContext, x) -> np.ndarray:
+def _psi_weights(ctx: InterpolationContext, x) -> sparse.csr_matrix:
+    """psi(d(x, x_i)/eps) for each query (row) and sample (column), as CSR.
+
+    Candidates are the pairs whose chord is within support * eps; the chord
+    never exceeds the intrinsic distance, so no nonzero weight is missed.
+    Only the nonzero weights are stored.
+    """
     model = ctx.cloud.model
     if model.m == 1:
         queries = np.atleast_1d(np.asarray(x, dtype=float))
     else:
         queries = np.atleast_2d(np.asarray(x, dtype=float))
-    dists = model.cross_distances(queries, ctx.cloud.params)
-    return np.asarray(ctx.kernel.psi(dists / ctx.eps), dtype=float)
+    radius = ctx.kernel.support * ctx.eps * (1.0 + 1e-12)
+    pairs = cKDTree(model.embed(queries)).sparse_distance_matrix(
+        cKDTree(model.embed(ctx.cloud.params)), radius, output_type="ndarray")
+    rows, cols = pairs["i"], pairs["j"]
+    dists = model.pair_distances(queries[rows], ctx.cloud.params[cols])
+    w = np.asarray(ctx.kernel.psi(dists / ctx.eps), dtype=float)
+    keep = w > 0.0
+    return sparse.csr_matrix((w[keep], (rows[keep], cols[keep])),
+                             shape=(len(queries), ctx.cloud.n))
+
+
+def _mass(w: sparse.csr_matrix) -> np.ndarray:
+    """Row sums of the weights, by the same reduction as the numerator of lambda_eps."""
+    return w @ np.ones(w.shape[1])
+
+
+def _is_scalar_query(ctx: InterpolationContext, x) -> bool:
+    return np.ndim(x) == (0 if ctx.cloud.model.m == 1 else 1)
 
 
 def theta_eps(ctx: InterpolationContext, x):
     """Local interpolation mass (1/n) sum_i psi(d(x, x_i)/eps); zero is legal."""
-    w = _psi_weights(ctx, x)
-    out = w.mean(axis=1)
-    scalar = (np.ndim(x) == 0) if ctx.cloud.model.m == 1 else (np.ndim(x) == 1)
-    return float(out[0]) if scalar else out
+    out = _mass(_psi_weights(ctx, x)) / ctx.cloud.n
+    return float(out[0]) if _is_scalar_query(ctx, x) else out
 
 
 def lambda_eps(ctx: InterpolationContext, u, x):
@@ -71,15 +95,13 @@ def lambda_eps(ctx: InterpolationContext, u, x):
     if u.shape != (ctx.cloud.n,):
         raise ValueError("u must have one entry per sample point")
     w = _psi_weights(ctx, x)
-    # same reduction as the numerator, so constants are reproduced exactly
-    mass = w @ np.ones(w.shape[1])
+    mass = _mass(w)
     if np.any(mass <= 0.0):
         bad = int(np.nonzero(mass <= 0.0)[0][0])
         raise UndefinedAtPoint(
             f"no sample within eps of query point index {bad}; theta_eps = 0")
     out = (w @ u) / mass
-    scalar = (np.ndim(x) == 0) if ctx.cloud.model.m == 1 else (np.ndim(x) == 1)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if _is_scalar_query(ctx, x) else out
 
 
 @dataclass(frozen=True)
@@ -106,8 +128,8 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     distance and per-sample masses.  Raises CoverageGap when a node is
     farther than eps_tilde from every sample.
     """
-    if eps_tilde <= 0:
-        raise ValueError("eps_tilde must be positive")
+    if not eps_tilde > 0:
+        raise ValueError(f"eps_tilde must be positive, got {eps_tilde!r}")
     nodes, weights = model.chart_grid(quad_points)
     weights = weights / weights.sum()
     n = cloud.n

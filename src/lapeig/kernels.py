@@ -82,7 +82,7 @@ class KernelProfile:
         elif self.kind == "gauss":
             out = 0.5 * (np.exp(-np.square(tc)) - math.exp(-1.0))
         elif self.kind == "custom":
-            flat = np.atleast_1d(tc)
+            flat = tc.ravel()
             vals = np.empty_like(flat)
             for i, ti in enumerate(flat):
                 if ti >= self.support:

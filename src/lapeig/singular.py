@@ -28,29 +28,27 @@ MAX_DYADIC_LEVEL = 24
 # Square boundary chart
 # ---------------------------------------------------------------------------
 
+def _boundary_xy(s):
+    """Point (x, y) of the unit-square boundary at arc length s in [0, 4].
+
+    Branch free: each coordinate is a difference of two clipped ramps.
+    The four faces run counterclockwise from (0, 0); s = 0 and s = 4 both
+    give (0, 0).
+    """
+    x = np.clip(s, 0.0, 1.0) - np.clip(s - 2.0, 0.0, 1.0)
+    y = np.clip(s - 1.0, 0.0, 1.0) - np.clip(s - 3.0, 0.0, 1.0)
+    return x, y
+
+
 def square_boundary_point(theta):
     """Map the circle angle to the boundary of the unit square.
 
-    The four branches run counterclockwise from (0, 0) at theta = 0 with
+    The four faces run counterclockwise from (0, 0) at theta = 0 with
     constant speed 2/pi, so arc length is s = 2*theta/pi and the perimeter
-    is 4.  Continuous at the branch points.
+    is 4.  Continuous at the corners.
     """
     theta_arr = np.mod(np.asarray(theta, dtype=float), 2.0 * math.pi)
-    s = np.atleast_1d(2.0 * theta_arr / math.pi)  # arc length in [0, 4)
-    x = np.empty_like(s)
-    y = np.empty_like(s)
-    b0 = s <= 1.0
-    b1 = (s > 1.0) & (s <= 2.0)
-    b2 = (s > 2.0) & (s <= 3.0)
-    b3 = s > 3.0
-    x[b0], y[b0] = s[b0], 0.0
-    x[b1], y[b1] = 1.0, s[b1] - 1.0
-    x[b2], y[b2] = 3.0 - s[b2], 1.0
-    x[b3], y[b3] = 0.0, 4.0 - s[b3]
-    out = np.stack([x, y], axis=-1)
-    if theta_arr.ndim == 0:
-        return out[0]
-    return out
+    return np.stack(_boundary_xy(2.0 * theta_arr / math.pi), axis=-1)
 
 
 def circle_eigenfunction(theta, alpha: float = 0.0):
@@ -64,9 +62,13 @@ def circle_eigenfunction(theta, alpha: float = 0.0):
 
 # The corner sweep places about 24/eps nodes on each face and runs one
 # adaptive quadrature per node, so its time grows like 1/eps (about
-# 0.18/eps seconds on a 2-core x86 VM); below this eps it runs for minutes.
+# 0.04/eps seconds single-threaded on a 2-core x86 VM, so 4 s at this eps);
+# far below this eps it runs for minutes.
 MIN_SENSITIVITY_EPS = 0.01
 MAX_QUAD_DOUBLINGS = 12
+# float64 entries per temporary of one quadrature block: a block of corner
+# nodes then stays in cache, and a non-separable block holds one point's grid
+QUAD_BLOCK_ELEMENTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,10 @@ class SensitivityConfig:
     quad_resolution: int = 256
 
     def __post_init__(self):
+        if not (math.isfinite(self.m2_radius) and self.m2_radius > 0.0):
+            raise ValueError(f"m2_radius must be finite and positive, got {self.m2_radius!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         grid = tuple(float(e) for e in self.eps_grid)
         if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
@@ -100,63 +106,99 @@ def sigma_indicator(m: int) -> float:
     return sphere_volume(m) / (m * (m + 2))
 
 
-def _square_chord(s_a, s_b):
-    """Euclidean distance in R^2 between boundary points at arc lengths s_a, s_b."""
-    pa = square_boundary_point(np.asarray(s_a) * math.pi / 2.0)
-    pb = square_boundary_point(np.asarray(s_b) * math.pi / 2.0)
-    return np.linalg.norm(pa - pb, axis=-1)
+def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps: float,
+                   n_nodes: int, separable: bool) -> np.ndarray:
+    """Midpoint-rule ball averages at the chart points pts (B, 2), n_nodes per axis.
+
+    Row b of every array belongs to pts[b]; the arithmetic per row is that
+    of a single point, so each value does not depend on the block.
+    """
+    r = config.m2_radius
+    t1, t2 = pts[:, :1], pts[:, 1:]
+    s0 = np.mod(2.0 * t1 / math.pi, 4.0)
+    w = min(2.0, 1.5 * eps)
+    s = s0 + (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w - w
+    hs = 2.0 * w / n_nodes
+    # s lies in [-2, 6): wrap it into [0, 4] as np.mod(s, 4) would
+    s[s >= 4.0] -= 4.0
+    s[s < 0.0] += 4.0
+    theta1 = s * math.pi / 2.0
+    # the chart round trip of square_boundary_point; theta1 <= 2 pi, and
+    # the only wrapped angle, 2 pi, maps to the same corner (0, 0)
+    x, y = _boundary_xy(2.0 * theta1 / math.pi)
+    pb = square_boundary_point(s0 * math.pi / 2.0)
+    x -= pb[..., 0]
+    y -= pb[..., 1]
+    c1 = np.sqrt(x * x + y * y)
+    gap2 = eps * eps - c1 * c1
+    if separable:
+        rho1 = np.sqrt(np.maximum(gap2, 0.0))
+        width = 4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0))
+        width = np.minimum(width, 2.0 * math.pi * r)
+        diff = h(t1, t2) - h(theta1, np.repeat(t2, n_nodes, axis=1))
+        return np.sum(diff * width, axis=1) * hs / eps ** 4
+    n2 = n_nodes
+    phi = (np.arange(n2) + 0.5) / n2 * 2.0 * math.pi
+    chord2 = 2.0 * r * np.abs(np.sin(0.5 * (phi - t2)))
+    inside = gap2[:, :, None] > chord2[:, None, :] ** 2
+    diff = (h(t1[:, :, None], t2[:, :, None])
+            - h(theta1[:, :, None], np.broadcast_to(phi, inside.shape)))
+    cells = (diff * inside).reshape(len(pts), n_nodes * n2)
+    return np.sum(cells, axis=1) * hs * (2.0 * math.pi * r / n2) / eps ** 4
 
 
 def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
                          separable: bool = True, rtol: float = 1e-3,
-                         atol: float = 1e-9) -> float:
+                         atol: float = 1e-9):
     """Ball-average operator at z0 on M = boundary(square) x circle(r).
 
     Computes (1/eps^4) int over the ambient eps-ball of (h(z0) - h(z)),
     with the product arc-length measure.  ``h`` takes chart angles
-    (theta1, theta2).  With ``separable=True`` (h independent of theta2)
-    the circle factor is integrated exactly and only the square factor is
-    discretized; otherwise a product midpoint rule is used.  The result is
-    accepted once doubling the resolution changes it by less than ``rtol``
-    relatively within MAX_QUAD_DOUBLINGS doublings, else
-    QuadratureNotConverged is raised.
+    (theta1, theta2) as broadcasting arrays.  ``z0`` is one chart point,
+    which gives a float, or an (N, 2) array of them, which gives N values.
+    With ``separable=True`` (h independent of theta2) the circle factor is
+    integrated exactly and only the square factor is discretized;
+    otherwise a product midpoint rule is used.  Each point's value is
+    accepted once doubling its resolution changes it by less than ``rtol``
+    relatively (or ``atol``) within MAX_QUAD_DOUBLINGS doublings; if any
+    point is still moving, QuadratureNotConverged is raised.  The points
+    are evaluated in blocks of about QUAD_BLOCK_ELEMENTS nodes, and every
+    value is bit for bit the value of a call with that point alone.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
-    theta1_0, theta2_0 = float(z0[0]), float(z0[1])
-    r = config.m2_radius
-    n0 = max(64, config.quad_resolution)
+    pts = np.asarray(z0, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError("z0 must be one chart point (theta1, theta2) or an (N, 2) array")
+    batch = np.atleast_2d(pts)
 
-    def value(n_nodes: int) -> float:
-        s0 = (2.0 * theta1_0 / math.pi) % 4.0
-        w = min(2.0, 1.5 * eps)
-        s = s0 + (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w - w
-        hs = 2.0 * w / n_nodes
-        c1 = _square_chord(np.mod(s, 4.0), s0)
-        gap2 = eps * eps - c1 * c1
-        theta1 = np.mod(s, 4.0) * math.pi / 2.0
-        if separable:
-            rho1 = np.sqrt(np.maximum(gap2, 0.0))
-            width = 4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0))
-            width = np.minimum(width, 2.0 * math.pi * r)
-            diff = h(theta1_0, theta2_0) - h(theta1, np.full_like(theta1, theta2_0))
-            return float(np.sum(diff * width) * hs) / eps ** 4
-        n2 = n_nodes
-        phi = (np.arange(n2) + 0.5) / n2 * 2.0 * math.pi
-        chord2 = 2.0 * r * np.abs(np.sin(0.5 * (phi - theta2_0)))
-        inside = gap2[:, None] > chord2[None, :] ** 2
-        diff = h(theta1_0, theta2_0) - h(theta1[:, None], np.broadcast_to(phi, (n_nodes, n2)))
-        return float(np.sum(diff * inside) * hs * (2.0 * math.pi * r / n2)) / eps ** 4
+    def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
+        per_point = n_nodes if separable else n_nodes * n_nodes
+        step = max(1, QUAD_BLOCK_ELEMENTS // per_point)
+        out = np.empty(idx.size)
+        for lo in range(0, idx.size, step):
+            out[lo:lo + step] = _ball_averages(config, h, batch[idx[lo:lo + step]], eps,
+                                               n_nodes, separable)
+        return out
 
-    prev = value(n0)
-    n = 2 * n0
+    n = max(64, config.quad_resolution)
+    todo = np.arange(len(batch))
+    prev = values(todo, n)
+    result = np.empty(len(batch))
     for _ in range(MAX_QUAD_DOUBLINGS):
-        cur = value(n)
-        if abs(cur - prev) <= max(rtol * max(abs(cur), abs(prev)), atol):
-            return cur
-        prev, n = cur, 2 * n
-    raise QuadratureNotConverged(
-        f"ball-average quadrature still moving after {MAX_QUAD_DOUBLINGS} doublings at eps={eps}")
+        if not todo.size:
+            break
+        n *= 2
+        cur = values(todo, n)
+        done = np.abs(cur - prev) <= np.maximum(
+            rtol * np.maximum(np.abs(cur), np.abs(prev)), atol)
+        result[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+    if todo.size:
+        raise QuadratureNotConverged(
+            f"ball-average quadrature still moving at {todo.size} of {len(batch)} points "
+            f"after {MAX_QUAD_DOUBLINGS} doublings at eps={eps}")
+    return float(result[0]) if pts.ndim == 1 else result
 
 
 def corner_defect_profile(m: int, t: float, method: str = "quadrature") -> float:

@@ -132,6 +132,11 @@ def test_validation_exit_code(tmp_path):
     for grid in ("0.2,0", "0.2,-0.1", "0.2,0.0001"):
         assert run(["sensitivity", "--eps-grid", grid, "--quad", "64",
                     "--out", str(tmp_path / "s.csv")]) == 2
+    # a radius that is not finite and positive, an alpha that is not finite
+    for flag, value in (("--r", "-1"), ("--r", "0"), ("--r", "nan"), ("--r", "inf"),
+                        ("--alpha", "nan"), ("--alpha", "inf")):
+        assert run(["sensitivity", flag, value, "--eps-grid", "0.2", "--quad", "64",
+                    "--out", str(tmp_path / "s.csv")]) == 2
     cloud_path = tmp_path / "cloud.json"
     for seed in ("-1", str(2 ** 64)):
         assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", seed,
@@ -143,8 +148,12 @@ def test_validation_exit_code(tmp_path):
     # into twice the chart points), 3-D circle points
     params2 = [[t[0], t[0]] for t in cloud["params_intrinsic"]]
     points3 = [x + [0.0] for x in cloud["points_ambient"]]
+    # also n and seed that are null, fractional, text or out of range
     for bad in (dict(cloud, n=60), dict(cloud, params_intrinsic=params2),
-                dict(cloud, points_ambient=points3)):
+                dict(cloud, points_ambient=points3), dict(cloud, n=None),
+                dict(cloud, n=50.5), dict(cloud, n="50"), dict(cloud, seed=None),
+                dict(cloud, seed=1.5), dict(cloud, seed="1"), dict(cloud, seed=-1),
+                dict(cloud, seed=2 ** 64), dict(cloud, seed=True)):
         cloud_path.write_text(json.dumps(bad))
         assert run(["graph", "--in", str(cloud_path), "--eps", "1", "--metric", "intrinsic",
                     "--out", str(tmp_path / "g.json")]) == 2
@@ -170,7 +179,7 @@ def test_validation_exit_code(tmp_path):
     # eps that is not finite and positive (a rescaled -8, infinities, NaN), and
     # m that is not an integer >= 1
     for key, value in (("eps", -0.5), ("eps", 0.0), ("eps", math.nan), ("m", 1.7),
-                       ("m", 0), ("m", None)):
+                       ("m", 0), ("m", None), ("n", None), ("n", 3.5), ("n", "3"), ("n", 0)):
         graph_path.write_text(json.dumps(dict(header, triplets=path, **{key: value})))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
 

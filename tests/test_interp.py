@@ -100,6 +100,54 @@ def test_theta_concentration():
     assert np.max(np.abs(theta - ideal)) / (sig * ctx.eps) <= 0.2
 
 
+def test_context_refuses_bad_eps():
+    cloud = M.sample_iid(M.UnitCircle(), 50, 1)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            I.InterpolationContext(cloud=cloud, kernel=IND, eps=eps)
+
+
+KERNELS = [K.indicator_kernel(), K.triangular_kernel(1.2), K.truncated_gaussian_kernel(),
+           K.indicator_kernel().stretched(0.5)]
+
+
+@pytest.mark.parametrize("name", ["circle", "square", "torus", "sphere", "singular"])
+def test_sparse_weights_equal_dense(name):
+    # the neighbour search keeps every nonzero weight of the dense matrix,
+    # bit for bit, and stores nothing else
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 120, 4)
+    queries = M.sample_iid(model, 25, 5).params
+    eps = 0.4 if model.m == 1 else 0.9
+    dists = model.cross_distances(queries, cloud.params)
+    for kernel in KERNELS:
+        ctx = I.InterpolationContext(cloud=cloud, kernel=kernel, eps=eps)
+        w = I._psi_weights(ctx, queries)
+        dense = kernel.psi(dists / eps)
+        assert np.count_nonzero(dense) > 0
+        assert w.nnz == np.count_nonzero(dense)
+        assert np.array_equal(w.toarray(), dense)
+
+
+def test_lambda_stretched_kernel():
+    # support 2: samples out to 2 eps carry weight, and nothing beyond
+    kernel = IND.stretched(0.5)
+    ctx = circle_context(100, 3)
+    ctx = I.InterpolationContext(cloud=ctx.cloud, kernel=kernel, eps=0.2)
+    u = I.restrict(np.sin, ctx.cloud)
+    queries = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+    dense = kernel.psi(ctx.cloud.model.cross_distances(queries, ctx.cloud.params) / ctx.eps)
+    want = (dense @ u) / dense.sum(axis=1)
+    assert np.allclose(I.lambda_eps(ctx, u, queries), want, rtol=0.0, atol=1e-13)
+    assert np.allclose(I.theta_eps(ctx, queries), dense.mean(axis=1), rtol=0.0, atol=1e-15)
+    one = I.InterpolationContext(cloud=single_point_cloud(0.3), kernel=kernel, eps=0.5)
+    assert I.lambda_eps(one, np.array([2.5]), 0.3 + 0.8) == 2.5
+    assert I.theta_eps(one, 0.3 + 0.8) > 0.0
+    with pytest.raises(UndefinedAtPoint):
+        I.lambda_eps(one, np.array([2.5]), 0.3 + 1.2)
+    assert I.theta_eps(one, 0.3 + 1.2) == 0.0
+
+
 def test_energy_values():
     circle = M.UnitCircle()
     assert I.dirichlet_energy_1d(circle, lambda t: np.ones_like(t), 512) == 0.0
@@ -162,6 +210,9 @@ def test_transport_coverage_gap():
     cloud = single_point_cloud()
     with pytest.raises(CoverageGap):
         I.transport_map(cloud.model, cloud, eps_tilde=0.5, quad_points=500)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="eps_tilde"):
+            I.transport_map(cloud.model, cloud, eps_tilde=bad, quad_points=500)
 
 
 def test_transport_mass_statistics():

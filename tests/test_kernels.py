@@ -35,6 +35,16 @@ def test_psi_indicator_values():
     assert ind.psi(2.0) == 0.0
 
 
+def test_psi_custom_on_2d_array():
+    # a custom profile integrates element by element, whatever the array's shape
+    kernel = K.indicator_kernel().stretched(0.5)
+    t = np.array([[0.1, 0.7], [1.3, 2.5]])
+    out = kernel.psi(t)
+    assert out.shape == (2, 2)
+    assert np.array_equal(out, [[kernel.psi(v) for v in row] for row in t])
+    assert out[0, 0] > out[0, 1] > out[1, 0] > 0.0 == out[1, 1]
+
+
 @pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
 def test_psi_below_half_eta(kernel):
     t = np.linspace(0.0, 1.0, 513)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lapeig import harness as H
 from lapeig import singular as S
 from lapeig.errors import LevelTooDeep, QuadratureNotConverged
 
@@ -110,6 +111,116 @@ def test_sensitivity_quadrature_guard(monkeypatch):
     monkeypatch.setattr(S, "MAX_QUAD_DOUBLINGS", 2)
     with pytest.raises(QuadratureNotConverged):
         S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.05, separable=False, rtol=1e-9)
+
+
+def test_sensitivity_config_refuses_bad_radius_and_alpha():
+    for r in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="m2_radius"):
+            S.SensitivityConfig(alpha=0.0, m2_radius=r, eps_grid=(0.2,))
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            S.SensitivityConfig(alpha=alpha, m2_radius=1.0, eps_grid=(0.2,))
+
+
+def test_corner_sweep_node_count():
+    cfg = S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2,), quad_resolution=64)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="nodes_per_face"):
+            H.corner_l1_sweep(cfg, nodes_per_face=bad)
+    assert H.corner_l1_sweep(cfg) == H.corner_l1_sweep(cfg, cfg.nodes_per_face(0.2))
+    assert H.corner_l1_sweep(cfg, 1)[0].l1_deviation > 0.0
+
+
+def _chart_map_value(config, h, z0, eps, rtol, atol):
+    """The ball average with its chord taken through square_boundary_point,
+    one point at a time (separable h), as the operator computed it before
+    its chord was made branch free."""
+    theta1_0, theta2_0 = z0
+    r = config.m2_radius
+
+    def value(n_nodes):
+        s0 = (2.0 * theta1_0 / math.pi) % 4.0
+        w = min(2.0, 1.5 * eps)
+        s = np.mod(s0 + (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w - w, 4.0)
+        pa = S.square_boundary_point(s * math.pi / 2.0)
+        pb = S.square_boundary_point(s0 * math.pi / 2.0)
+        c1 = np.linalg.norm(pa - pb, axis=-1)
+        rho1 = np.sqrt(np.maximum(eps * eps - c1 * c1, 0.0))
+        width = np.minimum(4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0)),
+                           2.0 * math.pi * r)
+        theta1 = s * math.pi / 2.0
+        diff = h(theta1_0, theta2_0) - h(theta1, np.full_like(theta1, theta2_0))
+        return float(np.sum(diff * width) * (2.0 * w / n_nodes)) / eps ** 4
+
+    n = max(64, config.quad_resolution)
+    prev = value(n)
+    while True:
+        n *= 2
+        cur = value(n)
+        if abs(cur - prev) <= max(rtol * max(abs(cur), abs(prev)), atol):
+            return cur
+        prev = cur
+
+
+def _corner_probe_points(eps):
+    """Face interiors, the four corners and points within eps of a corner, as chart angles."""
+    s = np.array([0.5, 1.37, 2.25, 3.8, 0.0, 1.0, 2.0, 3.0,
+                  0.5 * eps, 1.0 - eps / 3.0, 2.0 + 0.25 * eps, 4.0 - 0.5 * eps, 3.0 + 0.9 * eps])
+    return s * math.pi / 2.0
+
+
+def test_sensitivity_batch_matches_chart_map_chord():
+    # the branch-free chord and the block evaluation change no bit of the
+    # value at any node of the corner sweep's kind
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float) - 0.3)
+    for eps in (0.2, 0.05):
+        theta1 = _corner_probe_points(eps)
+        pts = np.stack([theta1, np.zeros_like(theta1)], axis=1)
+        got = S.sensitivity_operator(CFG, h, pts, eps, rtol=1e-4, atol=1e-7)
+        want = [_chart_map_value(CFG, h, p, eps, 1e-4, 1e-7) for p in pts]
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_sensitivity_batch_matches_single_points(separable):
+    eps = 0.1
+    theta1 = _corner_probe_points(eps)
+    if separable:
+        cfg, tol = CFG, 1e-5
+        h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+        theta2 = np.zeros_like(theta1)
+    else:
+        # 64 nodes per axis: several points share a block
+        cfg, tol = S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(eps,),
+                                       quad_resolution=64), 5e-2
+        h = lambda t1, t2: np.sin(t1) + 0.5 * np.cos(t2)
+        theta2 = np.linspace(0.0, 5.0, theta1.size)
+    pts = np.stack([theta1, theta2], axis=1)
+    batch = S.sensitivity_operator(cfg, h, pts, eps, separable=separable, rtol=tol, atol=tol)
+    singles = [S.sensitivity_operator(cfg, h, tuple(p), eps, separable=separable,
+                                      rtol=tol, atol=tol) for p in pts]
+    assert all(isinstance(v, float) for v in singles)
+    assert batch.tobytes() == np.array(singles).tobytes()
+
+
+def test_sensitivity_point_shapes():
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    for bad in ((0.1, 0.2, 0.3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="z0"):
+            S.sensitivity_operator(CFG, h, bad, 0.1)
+    assert S.sensitivity_operator(CFG, h, np.zeros((0, 2)), 0.1).shape == (0,)
+
+
+def test_sensitivity_batch_quadrature_guard(monkeypatch):
+    # the corner value cancels and converges at once; the other point is
+    # still moving after two doublings, so the whole call fails
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    monkeypatch.setattr(S, "MAX_QUAD_DOUBLINGS", 2)
+    pts = np.array([[0.0, 0.0], [0.4, 0.0]])
+    assert abs(S.sensitivity_operator(CFG, h, pts[0], 0.05, rtol=1e-12, atol=1e-12)) < 1e-12
+    with pytest.raises(QuadratureNotConverged, match="1 of 2 points"):
+        S.sensitivity_operator(CFG, h, pts, 0.05, rtol=1e-12, atol=1e-12)
 
 
 def test_corner_defect_profile():
