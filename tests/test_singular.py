@@ -132,9 +132,9 @@ def test_corner_sweep_node_count():
 
 
 def _chart_map_value(config, h, z0, eps, rtol, atol):
-    """The ball average with its chord taken through square_boundary_point,
-    one point at a time (separable h), as the operator computed it before
-    its chord was made branch free."""
+    """The ball average at one point (separable h) with its chord taken
+    through square_boundary_point: the reference that the branch-free
+    chord and the block evaluation must match bit for bit."""
     theta1_0, theta2_0 = z0
     r = config.m2_radius
 
