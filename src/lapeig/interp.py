@@ -58,6 +58,8 @@ def _psi_weights(ctx: InterpolationContext, x) -> sparse.csr_matrix:
         queries = np.atleast_1d(np.asarray(x, dtype=float))
     else:
         queries = np.atleast_2d(np.asarray(x, dtype=float))
+    # the margin keeps pairs whose chord equals their intrinsic distance
+    # (along a face of the square, say) but rounds a few ulps above it
     radius = ctx.kernel.support * ctx.eps * (1.0 + 1e-12)
     pairs = cKDTree(model.embed(queries)).sparse_distance_matrix(
         cKDTree(model.embed(ctx.cloud.params)), radius, output_type="ndarray")
