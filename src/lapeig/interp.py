@@ -7,6 +7,14 @@ are a sparse matrix: a k-d tree on the embedded points finds the pairs
 whose chord is within the kernel's support times eps, and only their
 intrinsic distances are computed.  Where the local mass vanishes the
 operator is undefined and raises, rather than inventing a default value.
+
+The transport map sends each quadrature node to its intrinsically nearest
+sample.  It too searches a k-d tree: the chord never exceeds the intrinsic
+distance, so the nearest sample lies within chord radius d(node, j_c) of
+the node, where j_c is its chord-nearest sample.  That radius, widened by
+a relative and an absolute margin for rounding, bounds the candidates
+whose intrinsic distances are compared, and the answer equals the dense
+argmin over all samples.
 """
 
 from __future__ import annotations
@@ -129,30 +137,52 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     node to its intrinsically nearest sample, and reports the transported
     distance and per-sample masses.  Raises CoverageGap when a node is
     farther than eps_tilde from every sample.
+
+    The search is exact without a dense node-by-sample distance block.  A
+    k-d tree on the embedded samples gives each node its chord-nearest
+    sample j_c.  The chord never exceeds the intrinsic distance, so the
+    intrinsically nearest sample lies within chord radius d(node, j_c),
+    widened by r * (1 + 1e-12) + 1e-12 for rounding.  The node's k nearest
+    samples by chord, k doubling until the k-th chord exceeds that radius,
+    hold every sample inside it; only their intrinsic distances are
+    computed.  The result is the argmin over all samples, bit for bit.
     """
     if not eps_tilde > 0:
         raise ValueError(f"eps_tilde must be positive, got {eps_tilde!r}")
+    if (isinstance(quad_points, bool) or not isinstance(quad_points, (int, np.integer))
+            or quad_points < 1):
+        raise ValueError(f"quad_points must be an integer >= 1, got {quad_points!r}")
     nodes, weights = model.chart_grid(quad_points)
     weights = weights / weights.sum()
     n = cloud.n
-    masses = np.zeros(n)
-    max_dist = 0.0
-    block = max(1, int(2e6 // max(n, 1)))
-    node_count = nodes.shape[0] if nodes.ndim > 1 else nodes.size
-    assignment = np.empty(node_count, dtype=np.int64)
-    for lo in range(0, node_count, block):
-        hi = min(lo + block, node_count)
-        dists = model.cross_distances(nodes[lo:hi], cloud.params)
-        nearest = np.argmin(dists, axis=1)
-        dmin = dists[np.arange(hi - lo), nearest]
-        worst = float(dmin.max())
-        if worst > eps_tilde:
-            raise CoverageGap(
-                f"a quadrature node is {worst:.4g} away from every sample "
-                f"(allowed {eps_tilde:.4g})")
-        max_dist = max(max_dist, worst)
-        assignment[lo:hi] = nearest
-        masses += np.bincount(nearest, weights=weights[lo:hi], minlength=n)
+    x = model.embed(nodes)
+    tree = cKDTree(cloud.ambient)
+    _, chord_nearest = tree.query(x)
+    # the absolute margin is needed: for a nearly coincident pair the chord
+    # can round above the intrinsic distance by more than a relative 1e-12
+    radius = model.pair_distances(nodes, cloud.params[chord_nearest])
+    radius = radius * (1.0 + 1e-12) + 1e-12
+    assignment = np.empty(len(x), dtype=np.int64)
+    dist = np.empty(len(x))
+    todo = np.arange(len(x))
+    k = 1
+    while todo.size:
+        # a node is resolved once its k-th chord exceeds its radius (or k = n):
+        # every sample inside the radius is then among its k candidates
+        k = min(2 * k, n)
+        chord, cand = (a.reshape(todo.size, k) for a in tree.query(x[todo], k=k))
+        done = (chord[:, -1] > radius[todo]) | (k == n)
+        rows, cand = todo[done], cand[done]
+        d = model.pair_distances(nodes[rows, None], cloud.params[cand])
+        dist[rows] = d.min(axis=1)
+        assignment[rows] = np.where(d == dist[rows, None], cand, n).min(axis=1)
+        todo = todo[~done]
+    max_dist = float(dist.max())
+    if max_dist > eps_tilde:
+        raise CoverageGap(
+            f"a quadrature node is {max_dist:.4g} away from every sample "
+            f"(allowed {eps_tilde:.4g})")
+    masses = np.bincount(assignment, weights=weights, minlength=n)
     with np.errstate(divide="ignore"):
         rel = np.abs(1.0 / n - masses) / np.where(masses > 0, masses, np.nan)
     rel = np.where(np.isnan(rel), np.inf, rel)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lapeig import graph as G
 from lapeig import interp as I
@@ -213,6 +214,9 @@ def test_transport_coverage_gap():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="eps_tilde"):
             I.transport_map(cloud.model, cloud, eps_tilde=bad, quad_points=500)
+    for bad in (0, -3, 10.0, 2.5, True, np.float64(500.0)):
+        with pytest.raises(ValueError, match="quad_points"):
+            I.transport_map(cloud.model, cloud, eps_tilde=10.0, quad_points=bad)
 
 
 def test_transport_mass_statistics():
@@ -229,3 +233,75 @@ def test_transport_mass_statistics():
         if rep.median_relative_deviation <= 0.5:
             ok += 1
     assert ok >= 4
+
+
+def brute_force_transport(model, cloud, quad_points):
+    """Dense reference: argmin over every sample (first index on ties)."""
+    nodes, weights = model.chart_grid(quad_points)
+    dists = model.cross_distances(nodes, cloud.params)
+    assignment = np.argmin(dists, axis=1)
+    masses = np.bincount(assignment, weights=weights / weights.sum(), minlength=cloud.n)
+    return assignment, float(dists[np.arange(len(nodes)), assignment].max()), masses
+
+
+def cloud_at(model, params):
+    params = np.asarray(params, dtype=float)
+    return M.PointCloud(manifold_id=model.kind, n=len(params), seed=0, params=params,
+                        ambient=model.embed(params), model=model)
+
+
+@pytest.mark.parametrize("name", ["circle", "square", "torus", "sphere", "singular"])
+def test_transport_equals_brute_force(name):
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 256, 1)
+    rep = I.transport_map(model, cloud, eps_tilde=10.0, quad_points=10_000)
+    assignment, max_distance, masses = brute_force_transport(model, cloud, 10_000)
+    assert np.array_equal(rep.assignment, assignment)
+    assert rep.max_distance == max_distance
+    assert np.array_equal(rep.masses, masses)
+    if name == "square":
+        # near a corner the chord-nearest sample is not the nearest one
+        # along the curve: the intrinsic search must overrule the tree
+        nodes, _ = model.chart_grid(10_000)
+        _, chord_nearest = cKDTree(cloud.ambient).query(model.embed(nodes))
+        assert np.count_nonzero(chord_nearest != rep.assignment) >= 1
+
+
+def test_transport_search_widens_at_corners():
+    # past each corner three samples are nearer by chord than the sample
+    # 0.13 back along the face, which is the nearest along the curve for
+    # the nodes about 0.1 before the corner: the search must look past the
+    # two chord-nearest samples
+    square = M.SquareBoundary()
+    arc = np.concatenate([c + np.array([0.05, 0.06, 0.07, -0.23]) for c in range(4)])
+    cloud = cloud_at(square, (arc % 4.0) * (0.5 * math.pi))
+    rep = I.transport_map(square, cloud, eps_tilde=10.0, quad_points=4000)
+    assert np.array_equal(rep.assignment, brute_force_transport(square, cloud, 4000)[0])
+    nodes, _ = square.chart_grid(4000)
+    _, first_two = cKDTree(cloud.ambient).query(square.embed(nodes), k=2)
+    assert not (first_two == rep.assignment[:, None]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("name", ["circle", "square", "sphere"])
+def test_transport_ties_go_to_lowest_index(name):
+    model = M.make_manifold(name)
+    params = M.sample_iid(model, 40, 2).params
+    # sample 40 duplicates sample 7, and 41 duplicates 3
+    cloud = cloud_at(model, np.concatenate([params, params[[7, 3]]]))
+    rep = I.transport_map(model, cloud, eps_tilde=10.0, quad_points=4000)
+    assert np.count_nonzero(rep.assignment == 7) > 0
+    assert np.count_nonzero(rep.assignment == 3) > 0
+    assert not np.isin(rep.assignment, [40, 41]).any()
+    assert np.array_equal(rep.assignment, brute_force_transport(model, cloud, 4000)[0])
+
+
+def test_transport_near_coincident_samples():
+    # three copies of each node shifted by 1e-9: chords this short round
+    # above the intrinsic distance by far more than a relative 1e-12, and
+    # without the absolute margin the tree stops before the lowest copy
+    circle = M.UnitCircle()
+    nodes, _ = circle.chart_grid(1000)
+    cloud = cloud_at(circle, np.tile(nodes + 1e-9, 3))
+    rep = I.transport_map(circle, cloud, eps_tilde=1.0, quad_points=1000)
+    assert np.array_equal(rep.assignment, np.arange(1000))
+    assert rep.max_distance <= 1e-9 + 1e-15
