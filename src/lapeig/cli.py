@@ -101,6 +101,8 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
         raise LapeigError("graph weights must be finite and non-negative")
     kmat = sparse.coo_matrix((weights, (idx[:, 0].astype(int), idx[:, 1].astype(int))),
                              shape=(n, n)).tocsr()
+    # zero weights are no edges: the component count reads every stored entry
+    kmat.eliminate_zeros()
     if (kmat != kmat.T).nnz:
         raise LapeigError("graph kernel matrix K is not symmetric")
     eps, m = obj["eps"], obj["m"]

@@ -30,6 +30,9 @@ from .errors import CoverageGap, UndefinedAtPoint, UnsupportedDimension
 from .kernels import KernelProfile
 from .manifolds import PointCloud
 
+# node-by-candidate entries per slice of the transport search
+TRANSPORT_BLOCK_ELEMENTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class InterpolationContext:
@@ -146,6 +149,9 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     samples by chord, k doubling until the k-th chord exceeds that radius,
     hold every sample inside it; only their intrinsic distances are
     computed.  The result is the argmin over all samples, bit for bit.
+    The unresolved nodes are searched in slices of at most
+    TRANSPORT_BLOCK_ELEMENTS / k nodes, so coincident samples, which drive
+    k up to n, keep the candidate arrays bounded.
     """
     if not eps_tilde > 0:
         raise ValueError(f"eps_tilde must be positive, got {eps_tilde!r}")
@@ -170,13 +176,18 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
         # a node is resolved once its k-th chord exceeds its radius (or k = n):
         # every sample inside the radius is then among its k candidates
         k = min(2 * k, n)
-        chord, cand = (a.reshape(todo.size, k) for a in tree.query(x[todo], k=k))
-        done = (chord[:, -1] > radius[todo]) | (k == n)
-        rows, cand = todo[done], cand[done]
-        d = model.pair_distances(nodes[rows, None], cloud.params[cand])
-        dist[rows] = d.min(axis=1)
-        assignment[rows] = np.where(d == dist[rows, None], cand, n).min(axis=1)
-        todo = todo[~done]
+        resolved = np.zeros(todo.size, dtype=bool)
+        step = max(1, TRANSPORT_BLOCK_ELEMENTS // k)
+        for lo in range(0, todo.size, step):
+            part = todo[lo:lo + step]
+            chord, cand = (a.reshape(part.size, k) for a in tree.query(x[part], k=k))
+            done = (chord[:, -1] > radius[part]) | (k == n)
+            rows, cand = part[done], cand[done]
+            d = model.pair_distances(nodes[rows, None], cloud.params[cand])
+            dist[rows] = d.min(axis=1)
+            assignment[rows] = np.where(d == dist[rows, None], cand, n).min(axis=1)
+            resolved[lo:lo + step] = done
+        todo = todo[~resolved]
     max_dist = float(dist.max())
     if max_dist > eps_tilde:
         raise CoverageGap(

@@ -113,8 +113,12 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     otherwise the raw degrees are used (same vectors up to a global factor).
     """
     d = graph.degrees
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(d))
-    sym = (inv_sqrt @ graph.laplacian() @ inv_sqrt).tocsr()
+    # D^(-1/2) L D^(-1/2) scaled in place: entry (i, j) becomes (s_i L_ij) s_j,
+    # the same products the two diagonal matrix products would round
+    s = 1.0 / np.sqrt(d)
+    sym = graph.laplacian()
+    sym.data *= np.repeat(s, np.diff(sym.indptr))
+    sym.data *= s[sym.indices]
     vals, vecs, solver, residual = _smallest_eigenpairs(sym, k + 1)
     back = vecs / np.sqrt(d)[:, None]
     if kernel is not None and m is not None:

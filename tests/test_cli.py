@@ -2,10 +2,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lapeig import spectral
-from lapeig.cli import main
+from lapeig.cli import _graph_from_json, main
+from lapeig.graph import connectivity_report
 
 
 def run(argv):
@@ -230,6 +232,26 @@ def test_disconnected_graph(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "eigsh", no_solve)
     for flags in ([], ["--normalized"]):
         assert run(["spectrum", "--in", str(graph_path), "--k", "4"] + flags) == 2
+
+
+def test_zero_weight_triplets_are_no_edges(tmp_path, monkeypatch):
+    # two triangles joined only by stored zero weights: two components
+    tri = [[a, b, 1.0] for a in range(3) for b in range(3)]
+    trips = tri + [[a + 3, b + 3, w] for a, b, w in tri] + [[2, 3, 0.0], [3, 2, 0.0]]
+    obj = {"n": 6, "eps": 0.5, "kernel": "indicator", "metric": "ambient", "m": 1,
+           "triplets": trips}
+    graph, _ = _graph_from_json(obj)
+    assert connectivity_report(graph).components == 2
+    assert np.array_equal(graph.degrees, [3.0] * 6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigsh called on a disconnected graph")
+
+    monkeypatch.setattr(spectral, "eigsh", no_solve)
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(obj))
+    for flags in ([], ["--normalized"]):
+        assert run(["spectrum", "--in", str(graph_path), "--k", "1"] + flags) == 2
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

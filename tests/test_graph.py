@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from lapeig import graph as G
 from lapeig import kernels as K
@@ -70,6 +73,79 @@ def test_pair_at_exactly_eps_is_kept():
     eps = float(np.linalg.norm(pts[[0]] - pts[[1]], axis=-1)[0])
     g = G.build_graph(M.ambient_cloud(pts), IND, eps)
     assert np.array_equal(g.kernel_matrix.toarray(), np.ones((2, 2)))
+
+
+def coo_reference(cloud, kernel, eps, metric="ambient"):
+    """K and D by one COO of both triangles and the diagonal, all pairs at once."""
+    pts, n = cloud.ambient, cloud.n
+    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    chord = np.linalg.norm(pts[ii] - pts[jj], axis=-1)
+    keep = chord <= eps
+    ii, jj, chord = ii[keep], jj[keep], chord[keep]
+    if metric == "ambient":
+        dist = chord
+    else:
+        dist = cloud.model.pair_distances(cloud.params[ii], cloud.params[jj])
+    vals = np.asarray(kernel.eta(dist / eps), dtype=float)
+    pos = vals > 0.0
+    ii, jj, vals = ii[pos], jj[pos], vals[pos]
+    rows = np.concatenate([ii, jj, np.arange(n)])
+    cols = np.concatenate([jj, ii, np.arange(n)])
+    data = np.concatenate([vals, vals, np.full(n, float(kernel.eta(0.0)))])
+    kmat = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return kmat, np.asarray(kmat.sum(axis=1)).ravel()
+
+
+def assert_same_graph(g, kmat, degrees):
+    k = g.kernel_matrix
+    for got, want in ((k.indptr, kmat.indptr), (k.indices, kmat.indices),
+                      (k.data, kmat.data), (g.degrees, degrees)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+KERNELS = [IND, K.triangular_kernel(1.2), K.truncated_gaussian_kernel(),
+           K.triangular_kernel(1.0).stretched(1.5)]
+
+
+@pytest.mark.parametrize("metric", ["ambient", "intrinsic"])
+@pytest.mark.parametrize("name", ["circle", "square", "sphere", "torus", "singular"])
+def test_blockwise_build_equals_coo_reference(name, metric, monkeypatch):
+    # a block of 97 pairs splits every cloud here into many blocks
+    monkeypatch.setattr(G, "PAIR_BLOCK", 97)
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 600, 11)
+    eps = G.epsilon_schedule(600, model.m, 1.5)
+    for kernel in KERNELS:
+        g = G.build_graph(cloud, kernel, eps, metric=metric)
+        assert (g.kernel_matrix.nnz - 600) // 2 > 4 * G.PAIR_BLOCK
+        assert_same_graph(g, *coo_reference(cloud, kernel, eps, metric))
+
+
+def test_build_and_component_count_memory():
+    # square boundary at n = 4096: about 270 entries per row, so more pairs
+    # than one block; the build once peaked at 5.1x the CSR's bytes and the
+    # component count copied K twice
+    model = M.make_manifold("square")
+    cloud = M.sample_iid(model, 4096, 3)
+    eps = G.epsilon_schedule(4096, model.m)
+    tracemalloc.start()
+    try:
+        g = G.build_graph(cloud, IND, eps)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        report = G.connectivity_report(g)
+        count_extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    k = g.kernel_matrix
+    assert (k.nnz - 4096) // 2 > G.PAIR_BLOCK
+    assert build_peak <= 3.0 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
+    assert count_extra < 1e6
+    assert report.components == 1
+    assert_same_graph(g, *coo_reference(cloud, IND, eps))
 
 
 def test_sparse_equals_dense_small_cloud():
@@ -145,6 +221,12 @@ def test_connectivity_report():
     cloud = M.ambient_cloud([[0, 0], [0.1, 0], [5, 5], [5.1, 5]])
     rep = G.connectivity_report(G.build_graph(cloud, IND, 0.5))
     assert rep.components == 2
+    # a chain 0 - 1 - ... - 9 in shuffled order: one component, and each
+    # point alone at a shorter eps
+    order = np.random.default_rng(2).permutation(10)
+    chain = M.ambient_cloud(np.arange(10.0)[order, None])
+    assert G.connectivity_report(G.build_graph(chain, IND, 1.0)).components == 1
+    assert G.connectivity_report(G.build_graph(chain, IND, 0.9)).components == 10
 
 
 def test_connectivity_at_schedule_scale():
@@ -178,5 +260,8 @@ def test_errors():
         G.build_graph(M.ambient_cloud(np.zeros((1, 2))), IND, 0.5)
     with pytest.raises(ValueError):
         G.build_graph(M.ambient_cloud(np.zeros((3, 2))), IND, -1.0)
+    with pytest.raises(ValueError):
+        G.build_graph(M.ambient_cloud(np.zeros((3, 2))),
+                      K.custom_kernel(lambda t: 0.0 * t, 0.0), 0.5)
     with pytest.raises(DimensionMismatch):
         G.quadratic_form(clique3(), np.ones(5))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,19 @@ def test_transport_near_coincident_samples():
     rep = I.transport_map(circle, cloud, eps_tilde=1.0, quad_points=1000)
     assert np.array_equal(rep.assignment, np.arange(1000))
     assert rep.max_distance <= 1e-9 + 1e-15
+
+
+def test_transport_memory_on_coincident_samples():
+    # 2048 copies of one point: every node's search doubles k up to n, and
+    # the node-by-candidate arrays once grew to 10 000 x 2048 (938 MB traced)
+    circle = M.UnitCircle()
+    cloud = cloud_at(circle, np.full(2048, 0.3))
+    tracemalloc.start()
+    try:
+        rep = I.transport_map(circle, cloud, eps_tilde=10.0, quad_points=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rep.assignment, np.zeros(10_000, dtype=int))
+    assert peak < 160e6
+

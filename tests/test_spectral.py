@@ -120,6 +120,28 @@ def test_normalized_equals_symmetric_similarity():
     assert np.allclose(spec.values, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere", "square"])
+def test_normalized_matrix_equals_diagonal_products(name, monkeypatch):
+    # the in-place row and column scaling rounds the same products as
+    # D^(-1/2) @ L @ D^(-1/2) with sparse diagonal matrices, bit for bit
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 1024, 4)
+    g = G.build_graph(cloud, K.triangular_kernel(1.2), G.epsilon_schedule(1024, model.m))
+    seen = []
+    solve = S._smallest_eigenpairs
+    monkeypatch.setattr(S, "_smallest_eigenpairs",
+                        lambda mat, count: seen.append(mat) or solve(mat, count))
+    spec = S.normalized_spectrum(g, 3)
+    inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
+    ref = (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr()
+    (sym,) = seen
+    for got, want in ((sym.indptr, ref.indptr), (sym.indices, ref.indices),
+                      (sym.data, ref.data)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert np.array_equal(spec.values, solve(ref, 4)[0])
+
+
 def test_exactly_one_near_zero_eigenvalue():
     cloud = M.sample_iid(M.UnitCircle(), 400, 7)
     g = G.build_graph(cloud, IND, G.epsilon_schedule(400, 1))
