@@ -125,8 +125,8 @@ def test_blockwise_build_equals_coo_reference(name, metric, monkeypatch):
 
 def test_build_and_component_count_memory():
     # square boundary at n = 4096: about 270 entries per row, so more pairs
-    # than one block; the build once peaked at 5.1x the CSR's bytes and the
-    # component count copied K twice
+    # than one block.  Assembling through a two-sided int64 COO peaks at
+    # about 5x the CSR's bytes; the component count needs no copy of K
     model = M.make_manifold("square")
     cloud = M.sample_iid(model, 4096, 3)
     eps = G.epsilon_schedule(4096, model.m)

@@ -310,7 +310,7 @@ def test_transport_near_coincident_samples():
 
 def test_transport_memory_on_coincident_samples():
     # 2048 copies of one point: every node's search doubles k up to n, and
-    # the node-by-candidate arrays once grew to 10 000 x 2048 (938 MB traced)
+    # unsliced, the node-by-candidate arrays reach 10 000 x 2048 (938 MB traced)
     circle = M.UnitCircle()
     cloud = cloud_at(circle, np.full(2048, 0.3))
     tracemalloc.start()
@@ -321,4 +321,3 @@ def test_transport_memory_on_coincident_samples():
         tracemalloc.stop()
     assert np.array_equal(rep.assignment, np.zeros(10_000, dtype=int))
     assert peak < 160e6
-
