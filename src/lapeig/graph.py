@@ -7,14 +7,21 @@ normalized eigenproblem uses that D.
 Candidate pairs i < j come from a k-d tree (scipy's cKDTree) queried at a
 radius a hair above eps.  They are tested in blocks of PAIR_BLOCK pairs:
 the exact chord test `|x_i - x_j| <= eps` decides, so a pair at exactly
-eps is an edge, and the block's weights are computed from the chord or the
-intrinsic distance.  Only pairs with a positive weight are stored, as int32
-indices, so every stored off-diagonal entry of K is positive.  K is
-assembled in canonical CSR (sorted columns, no duplicates) as the sum of
-two CSR matrices: the upper triangle with the diagonal, and the transpose
-of the strict upper triangle.  So the chord test and the weights make no
-temporaries longer than a block, and K's entries are never held in an
-int64 or two-sided COO layout; a build peaks near twice K's bytes.
+eps is an edge.  The chord sums the squared coordinate differences in
+coordinate order, one contiguous column at a time; for up to 7 ambient
+coordinates that is the sum np.linalg.norm forms, bit for bit (from 8 on,
+numpy sums pairwise and may differ in the last ulp).  The block's weights
+come from the chord or from the model's intrinsic distance, taken through
+`pair_distance_fn`, which lets a model do its per-point work once per
+sample.  Only pairs with a positive weight are stored, as int32 indices,
+so every stored off-diagonal entry of K is positive.
+
+K is assembled in canonical CSR (sorted columns, no duplicates): the upper
+triangle with the diagonal goes through the one COO-to-CSR conversion and
+its per-row sort, and K is its sum with its O(nnz) transpose, one canonical
+CSR sum whose doubled diagonal is set back to eta(0).  The pair list and
+block temporaries are freed before the sum, so a build peaks near twice
+K's bytes.
 
 Components are counted on K itself with scipy's csgraph: K is symmetric and
 its off-diagonal entries are positive, so its strongly connected components
@@ -55,10 +62,54 @@ class NeighborhoodGraph:
         return (sparse.diags(self.degrees) - self.kernel_matrix).tocsr()
 
     def triplets(self) -> np.ndarray:
-        """Stored entries of K as (row, col, value) sorted by (row, col)."""
+        """Stored entries of K as (row, col, value) sorted by (row, col).
+
+        K is canonical CSR (sorted columns, no duplicates), so its COO form
+        is already in that order.
+        """
         coo = self.kernel_matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return np.stack([coo.row[order], coo.col[order], coo.data[order]], axis=-1)
+        return np.stack([coo.row, coo.col, coo.data], axis=-1)
+
+
+def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
+                    metric: str, eta0: float) -> sparse.csr_matrix:
+    """The diagonal eta(0) and the pairs i < j within chord eps that carry a
+    positive weight, as CSR.
+
+    The tree's pair list is freed before the COO-to-CSR conversion, and the
+    block temporaries die with this frame, before K is assembled.
+    """
+    n = cloud.n
+    # contiguous coordinate columns, their squared differences summed in order
+    coords = [np.ascontiguousarray(c) for c in cloud.ambient.T]
+    if metric == METRIC_INTRINSIC:
+        pair_distance = cloud.model.pair_distance_fn(cloud.params)
+    # the tree rounds distances its own way and can drop a pair whose chord,
+    # as computed below, is exactly eps: query a hair wider, the chord decides
+    pairs = cKDTree(cloud.ambient).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
+    # the diagonal, then the kept pairs, filled block by block
+    rows = np.empty(n + len(pairs), dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows))
+    rows[:n] = cols[:n] = np.arange(n)
+    vals[:n] = eta0
+    end = n
+    for lo in range(0, len(pairs), PAIR_BLOCK):
+        ii, jj = pairs[lo:lo + PAIR_BLOCK].T
+        sq = (coords[0][ii] - coords[0][jj]) ** 2
+        for c in coords[1:]:
+            sq += (c[ii] - c[jj]) ** 2
+        chord = np.sqrt(sq)
+        keep = chord <= eps
+        ii, jj, chord = ii[keep], jj[keep], chord[keep]
+        dist = chord if metric == METRIC_AMBIENT else pair_distance(ii, jj)
+        w = np.asarray(kernel.eta(dist / eps), dtype=float)
+        pos = w > 0.0
+        stop = end + int(np.count_nonzero(pos))
+        rows[end:stop], cols[end:stop], vals[end:stop] = ii[pos], jj[pos], w[pos]
+        end = stop
+    del pairs
+    return sparse.csr_matrix((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
 
 
 def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
@@ -71,8 +122,8 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
     """
     if cloud.n < 2:
         raise EmptyCloud("graph construction needs at least two points")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if metric not in (METRIC_AMBIENT, METRIC_INTRINSIC):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == METRIC_INTRINSIC and cloud.model is None:
@@ -82,40 +133,18 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
     if not eta0 > 0.0:
         raise ValueError(f"kernel must be positive at 0, got eta(0) = {eta0!r}")
 
-    pts = cloud.ambient
     n = cloud.n
-    # the tree rounds distances its own way and can drop a pair whose chord,
-    # as computed below, is exactly eps: query a hair wider, the chord decides
-    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
-    # the stored entries of the upper triangle: the diagonal, then the pairs
-    # i < j with a positive weight, filled block by block
-    rows = np.empty(n + len(pairs), dtype=np.int32)
-    cols = np.empty_like(rows)
-    vals = np.empty(len(rows))
-    rows[:n] = cols[:n] = np.arange(n)
-    vals[:n] = eta0
-    end = n
-    for lo in range(0, len(pairs), PAIR_BLOCK):
-        ii, jj = pairs[lo:lo + PAIR_BLOCK].T
-        chord = np.linalg.norm(pts[ii] - pts[jj], axis=-1)
-        keep = chord <= eps
-        ii, jj, chord = ii[keep], jj[keep], chord[keep]
-        if metric == METRIC_AMBIENT:
-            dist = chord
-        else:
-            dist = cloud.model.pair_distances(cloud.params[ii], cloud.params[jj])
-        w = np.asarray(kernel.eta(dist / eps), dtype=float)
-        pos = w > 0.0
-        stop = end + int(np.count_nonzero(pos))
-        rows[end:stop], cols[end:stop], vals[end:stop] = ii[pos], jj[pos], w[pos]
-        end = stop
-    del pairs  # freed before the merge below, which sets the peak
-    # K = (upper triangle with the diagonal) + (strict upper triangle)^T: two
-    # canonical CSR matrices merged into a canonical CSR, entry for entry
-    upper = sparse.csr_matrix((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
-    lower = sparse.csr_matrix((vals[n:end], (cols[n:end], rows[n:end])), shape=(n, n))
-    del rows, cols, vals
+    # K = upper + upper^T entry for entry, except that the sum doubles the
+    # diagonal: row i of upper^T holds row i's entries at columns <= i, so
+    # K_ii is the last of them in row i of K, and is set back to eta(0).  Two
+    # full-size summands and no third matrix for the diagonal leave the
+    # allocator less resident heap for the solve that follows
+    upper = _upper_triangle(cloud, kernel, eps, metric, eta0)
+    lower = upper.T.tocsr()
     kmat = upper + lower
+    del upper
+    kmat.data[kmat.indptr[:-1] + np.diff(lower.indptr) - 1] = eta0
+    del lower
     degrees = np.asarray(kmat.sum(axis=1)).ravel()
     return NeighborhoodGraph(n=n, eps=float(eps), kernel_id=kernel.label or kernel.kind,
                              metric=metric, kernel_matrix=kmat, degrees=degrees)

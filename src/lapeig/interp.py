@@ -9,12 +9,12 @@ intrinsic distances are computed.  Where the local mass vanishes the
 operator is undefined and raises, rather than inventing a default value.
 
 The transport map sends each quadrature node to its intrinsically nearest
-sample.  It too searches a k-d tree: the chord never exceeds the intrinsic
-distance, so the nearest sample lies within chord radius d(node, j_c) of
-the node, where j_c is its chord-nearest sample.  That radius, widened by
-a relative and an absolute margin for rounding, bounds the candidates
-whose intrinsic distances are compared, and the answer equals the dense
-argmin over all samples.
+sample.  It too searches a k-d tree, built on the distinct samples: the
+chord never exceeds the intrinsic distance, so the nearest sample lies
+within chord radius d(node, j_c) of the node, where j_c is its
+chord-nearest sample.  That radius, widened by a relative and an absolute
+margin for rounding, bounds the candidates whose intrinsic distances are
+compared, and the answer equals the dense argmin over all samples.
 """
 
 from __future__ import annotations
@@ -141,17 +141,19 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     distance and per-sample masses.  Raises CoverageGap when a node is
     farther than eps_tilde from every sample.
 
-    The search is exact without a dense node-by-sample distance block.  A
-    k-d tree on the embedded samples gives each node its chord-nearest
-    sample j_c.  The chord never exceeds the intrinsic distance, so the
-    intrinsically nearest sample lies within chord radius d(node, j_c),
-    widened by r * (1 + 1e-12) + 1e-12 for rounding.  The node's k nearest
-    samples by chord, k doubling until the k-th chord exceeds that radius,
-    hold every sample inside it; only their intrinsic distances are
-    computed.  The result is the argmin over all samples, bit for bit.
-    The unresolved nodes are searched in slices of at most
-    TRANSPORT_BLOCK_ELEMENTS / k nodes, so coincident samples, which drive
-    k up to n, keep the candidate arrays bounded.
+    The search is exact without a dense node-by-sample distance block.  It
+    runs over the distinct samples only, each standing for its copies by
+    its lowest index, so ties still go to the lowest index.  A k-d tree on
+    the embedded samples gives each node its chord-nearest sample j_c.  The
+    chord never exceeds the intrinsic distance, so the intrinsically
+    nearest sample lies within chord radius d(node, j_c), widened by
+    r * (1 + 1e-12) + 1e-12 for rounding.  The node's k nearest samples by
+    chord, k doubling until the k-th chord exceeds that radius, hold every
+    sample inside it; only their intrinsic distances are computed.  The
+    result is the argmin over all samples, bit for bit.  The unresolved
+    nodes are searched in slices of at most TRANSPORT_BLOCK_ELEMENTS / k
+    nodes, so samples a few ulps apart, which drive k up to n, keep the
+    candidate arrays bounded.
     """
     if not eps_tilde > 0:
         raise ValueError(f"eps_tilde must be positive, got {eps_tilde!r}")
@@ -161,31 +163,37 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     nodes, weights = model.chart_grid(quad_points)
     weights = weights / weights.sum()
     n = cloud.n
+    # coincident samples are searched once, as their lowest index: copies of
+    # one point would otherwise drive every node's k toward n
+    first = np.unique(cloud.params.reshape(n, -1), axis=0, return_index=True)[1]
+    first.sort()
+    params = cloud.params[first]
+    count = len(first)
     x = model.embed(nodes)
-    tree = cKDTree(cloud.ambient)
+    tree = cKDTree(cloud.ambient[first])
     _, chord_nearest = tree.query(x)
     # the absolute margin is needed: for a nearly coincident pair the chord
     # can round above the intrinsic distance by more than a relative 1e-12
-    radius = model.pair_distances(nodes, cloud.params[chord_nearest])
+    radius = model.pair_distances(nodes, params[chord_nearest])
     radius = radius * (1.0 + 1e-12) + 1e-12
-    assignment = np.empty(len(x), dtype=np.int64)
+    nearest = np.empty(len(x), dtype=np.int64)
     dist = np.empty(len(x))
     todo = np.arange(len(x))
     k = 1
     while todo.size:
-        # a node is resolved once its k-th chord exceeds its radius (or k = n):
-        # every sample inside the radius is then among its k candidates
-        k = min(2 * k, n)
+        # a node is resolved once its k-th chord exceeds its radius (or k =
+        # count): every sample inside the radius is then among its k candidates
+        k = min(2 * k, count)
         resolved = np.zeros(todo.size, dtype=bool)
         step = max(1, TRANSPORT_BLOCK_ELEMENTS // k)
         for lo in range(0, todo.size, step):
             part = todo[lo:lo + step]
             chord, cand = (a.reshape(part.size, k) for a in tree.query(x[part], k=k))
-            done = (chord[:, -1] > radius[part]) | (k == n)
+            done = (chord[:, -1] > radius[part]) | (k == count)
             rows, cand = part[done], cand[done]
-            d = model.pair_distances(nodes[rows, None], cloud.params[cand])
+            d = model.pair_distances(nodes[rows, None], params[cand])
             dist[rows] = d.min(axis=1)
-            assignment[rows] = np.where(d == dist[rows, None], cand, n).min(axis=1)
+            nearest[rows] = np.where(d == dist[rows, None], cand, count).min(axis=1)
             resolved[lo:lo + step] = done
         todo = todo[~resolved]
     max_dist = float(dist.max())
@@ -193,6 +201,7 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
         raise CoverageGap(
             f"a quadrature node is {max_dist:.4g} away from every sample "
             f"(allowed {eps_tilde:.4g})")
+    assignment = first[nearest]
     masses = np.bincount(assignment, weights=weights, minlength=n)
     with np.errstate(divide="ignore"):
         rel = np.abs(1.0 / n - masses) / np.where(masses > 0, masses, np.nan)

@@ -127,6 +127,14 @@ class _BaseModel:
         """Intrinsic distance for paired chart points; broadcasts."""
         raise NotImplementedError
 
+    def pair_distance_fn(self, params):
+        """f(ii, jj) = pair_distances(params[ii], params[jj]), bit for bit.
+
+        A model whose distance needs per-point work overrides this to do
+        that work once per point rather than once per pair.
+        """
+        return lambda ii, jj: self.pair_distances(params[ii], params[jj])
+
     def _bilipschitz_params(self):
         """Chart points whose pairs estimate the bilipschitz bound; None: pi/2 holds."""
         return None
@@ -424,13 +432,24 @@ class SingularSurface(_BaseModel):
         p = np.atleast_2d(np.asarray(params, dtype=float))
         return _sing.singular_embedding(self.profile, self.m2_radius, p[:, 0], p[:, 1])
 
+    def _geodesic(self, arc_a, arc_b, ya, yb):
+        """Flat-torus distance from arc lengths along the curve and small-circle angles."""
+        dc = np.abs(arc_a - arc_b)
+        dc = np.minimum(dc, self._length - dc)
+        return np.hypot(dc, self.m2_radius * _angdist(ya, yb))
+
     def pair_distances(self, pa, pb):
         # arc length per point, then broadcast: never per (q, n) pair
         pa = np.atleast_2d(pa)
         pb = np.atleast_2d(pb)
-        dc = np.abs(self.curve_arclength(pa[..., 0]) - self.curve_arclength(pb[..., 0]))
-        dc = np.minimum(dc, self._length - dc)
-        return np.hypot(dc, self.m2_radius * _angdist(pa[..., 1], pb[..., 1]))
+        return self._geodesic(self.curve_arclength(pa[..., 0]),
+                              self.curve_arclength(pb[..., 0]), pa[..., 1], pb[..., 1])
+
+    def pair_distance_fn(self, params):
+        # arc length once per sample, not once per end of every pair
+        arc = self.curve_arclength(params[:, 0])
+        y = params[:, 1]
+        return lambda ii, jj: self._geodesic(arc[ii], arc[jj], y[ii], y[jj])
 
     def sample_params(self, n, rng):
         xs = np.empty(0)

@@ -124,28 +124,53 @@ def test_blockwise_build_equals_coo_reference(name, metric, monkeypatch):
 
 
 def test_build_and_component_count_memory():
-    # square boundary at n = 4096: about 270 entries per row, so more pairs
-    # than one block.  Assembling through a two-sided int64 COO peaks at
-    # about 5x the CSR's bytes; the component count needs no copy of K
-    model = M.make_manifold("square")
-    cloud = M.sample_iid(model, 4096, 3)
-    eps = G.epsilon_schedule(4096, model.m)
-    tracemalloc.start()
-    try:
-        g = G.build_graph(cloud, IND, eps)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        report = G.connectivity_report(g)
-        count_extra = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    k = g.kernel_matrix
-    assert (k.nnz - 4096) // 2 > G.PAIR_BLOCK
-    assert build_peak <= 3.0 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
-    assert count_extra < 1e6
-    assert report.components == 1
-    assert_same_graph(g, *coo_reference(cloud, IND, eps))
+    # square boundary at n = 4096 (about 270 entries per row) and the
+    # benchmark's intrinsic singular-surface build at n = 8192 (about 60):
+    # both hold more pairs than one block.  Assembling through a two-sided
+    # int64 COO peaks at about 5x the CSR's bytes.  Measured (seed 3): square
+    # 2.01x, singular 2.04x; with the per-pair chord, two COO-to-CSR sorts
+    # and the block temporaries alive at the last sum, 2.08x and 2.86x.  The
+    # component count needs no copy of K
+    for name, n, scale_c, metric in (("square", 4096, 1.0, "ambient"),
+                                     ("singular", 8192, 2.0, "intrinsic")):
+        model = M.make_manifold(name)
+        cloud = M.sample_iid(model, n, 3)
+        eps = G.epsilon_schedule(n, model.m, scale_c)
+        tracemalloc.start()
+        try:
+            g = G.build_graph(cloud, IND, eps, metric=metric)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            report = G.connectivity_report(g)
+            count_extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        k = g.kernel_matrix
+        assert (k.nnz - n) // 2 > G.PAIR_BLOCK
+        assert build_peak <= 3.0 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
+        assert count_extra < 1e6
+        assert report.components == 1
+        assert_same_graph(g, *coo_reference(cloud, IND, eps, metric))
+
+
+def test_edges_follow_the_coordinate_chord_in_nine_dimensions():
+    # np.linalg.norm sums a last axis of 8 or more coordinates pairwise, so
+    # there it can differ in the last ulp from the chord summed coordinate by
+    # coordinate, which decides the edges; below 8 the two are equal
+    pts = np.random.default_rng(8).random((300, 9))
+    diff = pts[:, None, :] - pts[None, :, :]
+    sq = diff[..., 0] ** 2
+    for c in range(1, 9):
+        sq += diff[..., c] ** 2
+    chord = np.sqrt(sq)
+    # eps at a pair whose norm rounds above its chord: an edge by the chord only
+    above = np.triu(np.linalg.norm(diff, axis=-1) > chord, 1)
+    eps = chord[above][np.argmin(np.abs(chord[above] - 0.7))]
+    g = G.build_graph(M.ambient_cloud(pts), IND, eps)
+    assert np.count_nonzero(chord <= eps) > 2 * 300
+    assert np.count_nonzero(above & (chord == eps)) >= 1
+    assert np.array_equal(g.kernel_matrix.toarray(), np.where(chord <= eps, 1.0, 0.0))
 
 
 def test_sparse_equals_dense_small_cloud():
@@ -255,11 +280,28 @@ def test_triplets_sorted():
     assert keys == sorted(keys)
 
 
+def test_triplets_equal_lexsorted_entries():
+    model = M.make_manifold("square")
+    g = G.build_graph(M.sample_iid(model, 1024, 2), K.triangular_kernel(1.2),
+                      G.epsilon_schedule(1024, model.m))
+    coo = g.kernel_matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    want = np.stack([coo.row[order], coo.col[order], coo.data[order]], axis=-1)
+    got = g.triplets()
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_errors():
     with pytest.raises(EmptyCloud):
         G.build_graph(M.ambient_cloud(np.zeros((1, 2))), IND, 0.5)
     with pytest.raises(ValueError):
         G.build_graph(M.ambient_cloud(np.zeros((3, 2))), IND, -1.0)
+    # nan passed the sign test into an edgeless graph, inf into all n^2 pairs
+    circle = M.sample_iid(M.UnitCircle(), 50, 1)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            G.build_graph(circle, IND, eps)
     with pytest.raises(ValueError):
         G.build_graph(M.ambient_cloud(np.zeros((3, 2))),
                       K.custom_kernel(lambda t: 0.0 * t, 0.0), 0.5)

@@ -309,8 +309,9 @@ def test_transport_near_coincident_samples():
 
 
 def test_transport_memory_on_coincident_samples():
-    # 2048 copies of one point: every node's search doubles k up to n, and
-    # unsliced, the node-by-candidate arrays reach 10 000 x 2048 (938 MB traced)
+    # 2048 copies of one point: searched over every copy, each node's k
+    # doubled up to n, and unsliced, the node-by-candidate arrays reached
+    # 10 000 x 2048 (938 MB traced); the copies are now one candidate
     circle = M.UnitCircle()
     cloud = cloud_at(circle, np.full(2048, 0.3))
     tracemalloc.start()
@@ -321,3 +322,52 @@ def test_transport_memory_on_coincident_samples():
         tracemalloc.stop()
     assert np.array_equal(rep.assignment, np.zeros(10_000, dtype=int))
     assert peak < 160e6
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere"])
+def test_transport_many_copies_among_distinct_samples(name):
+    # 2048 copies of sample 100 inserted before it, at 50..2097, and a copy
+    # of sample 7 at the end: each group goes to its lowest index
+    model = M.make_manifold(name)
+    params = M.sample_iid(model, 256, 4).params
+    copies = np.repeat(params[[100]], 2048, axis=0)
+    cloud = cloud_at(model, np.concatenate([params[:50], copies, params[50:], params[[7]]]))
+    rep = I.transport_map(model, cloud, eps_tilde=10.0, quad_points=2000)
+    assignment, max_distance, masses = brute_force_transport(model, cloud, 2000)
+    assert np.array_equal(rep.assignment, assignment)
+    assert rep.max_distance == max_distance
+    assert np.array_equal(rep.masses, masses)
+    assert np.count_nonzero(rep.assignment == 50) > 0
+    assert np.count_nonzero(rep.assignment == 7) > 0
+    assert not np.isin(rep.assignment, np.r_[51:2098, 2148, 2304]).any()
+
+
+def test_transport_memory_on_near_coincident_samples():
+    # 1024 distinct samples one ulp apart: their chords tie within the
+    # search's rounding margin, so every node's k doubles up to n.  Sliced,
+    # the search peaks at 112 MB traced; unsliced, its node-by-candidate
+    # arrays reach 4000 x 1024 and it peaks at 197 MB
+    circle = M.UnitCircle()
+    cloud = cloud_at(circle, 0.3 + np.arange(1024) * np.spacing(0.3))
+    tracemalloc.start()
+    try:
+        rep = I.transport_map(circle, cloud, eps_tilde=10.0, quad_points=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rep.assignment, brute_force_transport(circle, cloud, 4000)[0])
+    assert peak < 160e6
+
+
+def test_transport_exact_tie_between_distinct_samples():
+    # node 200 lies exactly 2^-10 from both samples; the larger angle has the
+    # lower index, so a search ordered by value would pick the other one
+    circle = M.UnitCircle()
+    nodes, _ = circle.chart_grid(1000)
+    theta = nodes[200]
+    cloud = cloud_at(circle, [theta + 2.0 ** -10, theta - 2.0 ** -10, theta + 2.0])
+    rep = I.transport_map(circle, cloud, eps_tilde=10.0, quad_points=1000)
+    assert circle.pair_distances(theta, cloud.params[0]) == circle.pair_distances(
+        theta, cloud.params[1])
+    assert rep.assignment[200] == 0
+    assert np.array_equal(rep.assignment, brute_force_transport(circle, cloud, 1000)[0])

@@ -118,6 +118,34 @@ def test_spectrum_errors():
         M.CliffordTorus(M.cosine_density(0.3))
 
 
+# three chart points 1e-9 to 2e-9 apart in the chart, across each chart's seams
+CHART_SEAMS = {
+    "circle": [0.0, 1e-9, TWO_PI - 1e-9],
+    "square": [0.0, 1e-9, TWO_PI - 1e-9],
+    "torus": [[0.0, 0.0], [1e-9, TWO_PI - 1e-9], [TWO_PI - 1e-9, 1e-9]],
+    "sphere": [[1.0, 0.0], [1.0, 1e-9], [1.0, TWO_PI - 1e-9]],
+    "singular": [[0.0, 0.0], [1e-9, TWO_PI - 1e-9], [1.0 - 1e-9, 1e-9]],
+}
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_pair_distance_fn_equals_pair_distances(name):
+    model = _model(name)
+    params = np.concatenate([model.sample(300, 5).params, np.asarray(CHART_SEAMS[name])])
+    seams = np.arange(300, 303)
+    rng = np.random.default_rng(6)
+    # random pairs, every point with itself, then the nine pairs across the seams
+    ii = np.concatenate([rng.integers(0, 303, 2000), np.arange(303), np.repeat(seams, 3)])
+    jj = np.concatenate([rng.integers(0, 303, 2000), np.arange(303), np.tile(seams, 3)])
+    got = model.pair_distance_fn(params)(ii, jj)
+    want = model.pair_distances(params[ii], params[jj])
+    assert got.dtype == want.dtype and got.shape == want.shape == ii.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.all(want[2000:2303] == 0.0)
+    # pairs across a seam are near, not a chart's width apart
+    assert want[-9:].max() < 1e-7
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_chord_below_intrinsic_and_bilipschitz(name):
     model = _model(name)
