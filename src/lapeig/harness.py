@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import subprocess
 import time
@@ -66,8 +65,8 @@ class ExperimentConfig:
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly ascending")
-        if self.trials < 1 or self.k_max < 1:
-            raise ValueError("trials and k_max must be at least 1")
+        if self.trials < 1 or self.k_max < 1 or self.threads < 1:
+            raise ValueError("trials, k_max and threads must be at least 1")
         object.__setattr__(self, "n_grid", grid)
 
 
@@ -363,17 +362,3 @@ def report_json_obj(report: ConvergenceReport) -> dict:
         "rows": [asdict(r) for r in report.rows],
         "failures": [list(f) for f in report.failures],
     }
-
-
-def emit_report(report: ConvergenceReport, path: str, fmt: str = "csv") -> None:
-    try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                fh.write(report_csv_text(report))
-        elif fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(report_json_obj(report), fh, indent=1)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    except OSError as exc:
-        raise LapeigError(f"cannot write report: {exc}") from exc

@@ -67,7 +67,7 @@ def circle_eigenfunction(theta, alpha: float = 0.0):
 MIN_SENSITIVITY_EPS = 0.01
 MAX_QUAD_DOUBLINGS = 12
 # float64 entries per temporary of one quadrature block: a block of corner
-# nodes then stays in cache, and a non-separable block holds one point's grid
+# nodes then stays in cache
 QUAD_BLOCK_ELEMENTS = 2 ** 13
 
 
@@ -85,6 +85,8 @@ class SensitivityConfig:
             raise ValueError(f"m2_radius must be finite and positive, got {self.m2_radius!r}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if self.quad_resolution < 1:
+            raise ValueError(f"quad_resolution must be at least 1, got {self.quad_resolution!r}")
         grid = tuple(float(e) for e in self.eps_grid)
         if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
@@ -107,11 +109,13 @@ def sigma_indicator(m: int) -> float:
 
 
 def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps: float,
-                   n_nodes: int, separable: bool) -> np.ndarray:
-    """Midpoint-rule ball averages at the chart points pts (B, 2), n_nodes per axis.
+                   n_nodes: int) -> np.ndarray:
+    """Ball averages at the chart points pts (B, 2), n_nodes midpoints along the square.
 
-    Row b of every array belongs to pts[b]; the arithmetic per row is that
-    of a single point, so each value does not depend on the block.
+    The circle factor is integrated exactly: the ball's slice at square
+    chord c has circle arc width 4 r arcsin(sqrt(eps^2 - c^2) / 2r).  Row b
+    of every array belongs to pts[b]; the arithmetic per row is that of a
+    single point, so each value does not depend on the block.
     """
     r = config.m2_radius
     t1, t2 = pts[:, :1], pts[:, 1:]
@@ -130,40 +134,29 @@ def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps:
     x -= pb[..., 0]
     y -= pb[..., 1]
     c1 = np.sqrt(x * x + y * y)
-    gap2 = eps * eps - c1 * c1
-    if separable:
-        rho1 = np.sqrt(np.maximum(gap2, 0.0))
-        width = 4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0))
-        width = np.minimum(width, 2.0 * math.pi * r)
-        diff = h(t1, t2) - h(theta1, np.repeat(t2, n_nodes, axis=1))
-        return np.sum(diff * width, axis=1) * hs / eps ** 4
-    n2 = n_nodes
-    phi = (np.arange(n2) + 0.5) / n2 * 2.0 * math.pi
-    chord2 = 2.0 * r * np.abs(np.sin(0.5 * (phi - t2)))
-    inside = gap2[:, :, None] > chord2[:, None, :] ** 2
-    diff = (h(t1[:, :, None], t2[:, :, None])
-            - h(theta1[:, :, None], np.broadcast_to(phi, inside.shape)))
-    cells = (diff * inside).reshape(len(pts), n_nodes * n2)
-    return np.sum(cells, axis=1) * hs * (2.0 * math.pi * r / n2) / eps ** 4
+    rho1 = np.sqrt(np.maximum(eps * eps - c1 * c1, 0.0))
+    width = 4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0))
+    width = np.minimum(width, 2.0 * math.pi * r)
+    diff = h(t1, t2) - h(theta1, t2)
+    return np.sum(diff * width, axis=1) * hs / eps ** 4
 
 
 def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
-                         separable: bool = True, rtol: float = 1e-3,
-                         atol: float = 1e-9):
+                         rtol: float = 1e-3, atol: float = 1e-9):
     """Ball-average operator at z0 on M = boundary(square) x circle(r).
 
     Computes (1/eps^4) int over the ambient eps-ball of (h(z0) - h(z)),
     with the product arc-length measure.  ``h`` takes chart angles
-    (theta1, theta2) as broadcasting arrays.  ``z0`` is one chart point,
-    which gives a float, or an (N, 2) array of them, which gives N values.
-    With ``separable=True`` (h independent of theta2) the circle factor is
-    integrated exactly and only the square factor is discretized;
-    otherwise a product midpoint rule is used.  Each point's value is
-    accepted once doubling its resolution changes it by less than ``rtol``
-    relatively (or ``atol``) within MAX_QUAD_DOUBLINGS doublings; if any
-    point is still moving, QuadratureNotConverged is raised.  The points
-    are evaluated in blocks of about QUAD_BLOCK_ELEMENTS nodes, and every
-    value is bit for bit the value of a call with that point alone.
+    (theta1, theta2) as broadcasting arrays and must not depend on
+    theta2: the circle factor is integrated exactly and only the square
+    factor is discretized, by the midpoint rule.  ``z0`` is one chart
+    point, which gives a float, or an (N, 2) array of them, which gives N
+    values.  Each point's value is accepted once doubling its resolution
+    changes it by less than ``rtol`` relatively (or ``atol``) within
+    MAX_QUAD_DOUBLINGS doublings; if any point is still moving,
+    QuadratureNotConverged is raised.  The points are evaluated in blocks
+    of about QUAD_BLOCK_ELEMENTS nodes, and every value is bit for bit the
+    value of a call with that point alone.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
@@ -173,12 +166,11 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     batch = np.atleast_2d(pts)
 
     def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
-        per_point = n_nodes if separable else n_nodes * n_nodes
-        step = max(1, QUAD_BLOCK_ELEMENTS // per_point)
+        step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
         out = np.empty(idx.size)
         for lo in range(0, idx.size, step):
             out[lo:lo + step] = _ball_averages(config, h, batch[idx[lo:lo + step]], eps,
-                                               n_nodes, separable)
+                                               n_nodes)
         return out
 
     n = max(64, config.quad_resolution)

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lapeig import spectral
-from lapeig.cli import _graph_from_json, main
+from lapeig.cli import _graph_from_json, build_parser, main
 from lapeig.graph import connectivity_report
 
 
@@ -76,6 +78,22 @@ def test_converge_json(tmp_path):
     obj = json.loads(out.read_text())
     assert "config" in obj["metadata"]
     assert obj["metadata"]["config"]["master_seed"] == 5
+    # an unwritable report path is a validation error, in either format
+    for fmt in ("csv", "json"):
+        assert run(["converge", "--n-grid", "128,256", "--trials", "1", "--k-max", "1",
+                    "--format", fmt, "--out", str(tmp_path / "missing" / "r")]) == 2
+
+
+def test_readme_command_lines_parse():
+    # every lap-eig line of the README's command block names real flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+             if cmd.startswith("lap-eig ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_align_command(tmp_path):
@@ -118,7 +136,7 @@ def test_dyadic_command(tmp_path):
 
 def test_sensitivity_command(tmp_path):
     out = tmp_path / "sens.csv"
-    assert run(["sensitivity", "--alpha", "0", "--r", "1", "--m", "2",
+    assert run(["sensitivity", "--alpha", "0", "--r", "1",
                 "--eps-grid", "0.2,0.1", "--quad", "64", "--out", str(out)]) == 0
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["eps", "l1_deviation", "limit_rhs"]
@@ -130,7 +148,9 @@ def test_validation_exit_code(tmp_path):
     assert run(["graph", "--in", str(tmp_path / "missing.json"), "--eps", "1",
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["kernel-info", "--kernel", "boxcar", "--m", "1"]) == 2
-    assert run(["sensitivity", "--m", "3", "--out", str(tmp_path / "s.csv")]) == 2
+    assert run(["sensitivity", "--quad", "0", "--out", str(tmp_path / "s.csv")]) == 2
+    for threads in ("0", "-4"):
+        assert run(["converge", "--threads", threads, "--out", str(tmp_path / "c.csv")]) == 2
     for grid in ("0.2,0", "0.2,-0.1", "0.2,0.0001"):
         assert run(["sensitivity", "--eps-grid", grid, "--quad", "64",
                     "--out", str(tmp_path / "s.csv")]) == 2

@@ -7,6 +7,7 @@ import pytest
 from lapeig import harness as H
 from lapeig import manifolds as M
 from lapeig import spectral as S
+from lapeig.cli import main
 from lapeig.errors import GapViolation, InsufficientGrid
 
 SMALL = H.ExperimentConfig(n_grid=(128, 256), trials=2, k_max=2, master_seed=77)
@@ -89,7 +90,8 @@ def test_csv_empty_report():
 def test_json_roundtrip(tmp_path):
     report = H.run_convergence(SMALL)
     path = tmp_path / "report.json"
-    H.emit_report(report, str(path), "json")
+    assert main(["converge", "--n-grid", "128,256", "--trials", "2", "--k-max", "2",
+                 "--seed", "77", "--format", "json", "--out", str(path)]) == 0
     with open(path) as fh:
         obj = json.load(fh)
     assert [H.TrialRow(**row) for row in obj["rows"]] == report.rows
@@ -97,6 +99,12 @@ def test_json_roundtrip(tmp_path):
     assert H.ExperimentConfig(**dict(config, n_grid=tuple(config["n_grid"]))) == report.config
     assert np.array_equal(obj["targets"], report.targets)
     assert obj["failures"] == [list(f) for f in report.failures]
+
+
+def test_config_refuses_nonpositive_threads():
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            H.ExperimentConfig(threads=bad)
 
 
 def test_threaded_run_matches_sequential():

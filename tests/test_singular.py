@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from lapeig import harness as H
 from lapeig import singular as S
@@ -98,19 +99,11 @@ def test_sensitivity_exact_corner_cancels():
     assert abs(val) < 1e-9
 
 
-def test_sensitivity_product_rule_cross_check():
-    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
-    z0 = (math.pi / 4.0, 0.0)
-    fast = S.sensitivity_operator(CFG, h, z0, 0.2, separable=True, rtol=1e-6)
-    slow = S.sensitivity_operator(CFG, h, z0, 0.2, separable=False, rtol=5e-3)
-    assert slow == pytest.approx(fast, rel=2e-2)
-
-
 def test_sensitivity_quadrature_guard(monkeypatch):
     h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
     monkeypatch.setattr(S, "MAX_QUAD_DOUBLINGS", 2)
     with pytest.raises(QuadratureNotConverged):
-        S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.05, separable=False, rtol=1e-9)
+        S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.05, rtol=1e-9)
 
 
 def test_sensitivity_config_refuses_bad_radius_and_alpha():
@@ -120,6 +113,12 @@ def test_sensitivity_config_refuses_bad_radius_and_alpha():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="alpha"):
             S.SensitivityConfig(alpha=alpha, m2_radius=1.0, eps_grid=(0.2,))
+
+
+def test_sensitivity_config_refuses_nonpositive_quad_resolution():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="quad_resolution"):
+            S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2,), quad_resolution=bad)
 
 
 def test_corner_sweep_node_count():
@@ -132,7 +131,7 @@ def test_corner_sweep_node_count():
 
 
 def _chart_map_value(config, h, z0, eps, rtol, atol):
-    """The ball average at one point (separable h) with its chord taken
+    """The ball average at one point (h independent of theta2) with its chord taken
     through square_boundary_point: the reference that the branch-free
     chord and the block evaluation must match bit for bit."""
     theta1_0, theta2_0 = z0
@@ -182,26 +181,53 @@ def test_sensitivity_batch_matches_chart_map_chord():
         assert got.tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("separable", [True, False])
-def test_sensitivity_batch_matches_single_points(separable):
-    eps = 0.1
+def test_sensitivity_batch_matches_single_points():
+    eps, tol = 0.1, 1e-5
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    # 256 nodes at first: 32 points share a block, so all of these do
     theta1 = _corner_probe_points(eps)
-    if separable:
-        cfg, tol = CFG, 1e-5
-        h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
-        theta2 = np.zeros_like(theta1)
-    else:
-        # 64 nodes per axis: several points share a block
-        cfg, tol = S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(eps,),
-                                       quad_resolution=64), 5e-2
-        h = lambda t1, t2: np.sin(t1) + 0.5 * np.cos(t2)
-        theta2 = np.linspace(0.0, 5.0, theta1.size)
-    pts = np.stack([theta1, theta2], axis=1)
-    batch = S.sensitivity_operator(cfg, h, pts, eps, separable=separable, rtol=tol, atol=tol)
-    singles = [S.sensitivity_operator(cfg, h, tuple(p), eps, separable=separable,
-                                      rtol=tol, atol=tol) for p in pts]
+    pts = np.stack([theta1, np.zeros_like(theta1)], axis=1)
+    batch = S.sensitivity_operator(CFG, h, pts, eps, rtol=tol, atol=tol)
+    singles = [S.sensitivity_operator(CFG, h, tuple(p), eps, rtol=tol, atol=tol) for p in pts]
     assert all(isinstance(v, float) for v in singles)
     assert batch.tobytes() == np.array(singles).tobytes()
+
+
+def _nested_quad_value(config, h, theta1_0, eps):
+    """eps^-4 int (h(s0) - h(s)) r dphi ds over the ambient eps-ball, by nested
+    adaptive quadrature: s runs along the square boundary, split at the
+    corners, and phi over the circle arc |phi| <= 2 arcsin(sqrt(eps^2 - c^2) / 2r)
+    that the ball cuts at square chord c(s)."""
+    r = config.m2_radius
+    s0 = 2.0 * theta1_0 / math.pi
+    p0 = S.square_boundary_point(theta1_0)
+    lo, hi = s0 - 1.5 * eps, s0 + 1.5 * eps
+    corners = list(range(math.floor(lo) + 1, math.ceil(hi)))
+    h0 = h(theta1_0, 0.0)
+
+    def slice_integral(s):
+        c = np.linalg.norm(S.square_boundary_point(s * math.pi / 2.0) - p0)
+        if c >= eps:
+            return 0.0
+        phi = 2.0 * math.asin(math.sqrt(eps * eps - c * c) / (2.0 * r))
+        dh = h0 - h((s % 4.0) * math.pi / 2.0, 0.0)
+        return integrate.quad(lambda _: dh * r, -phi, phi)[0]
+
+    val, _ = integrate.quad(slice_integral, lo, hi, points=corners or None,
+                            epsabs=1e-13, epsrel=1e-11, limit=200)
+    return val / eps ** 4
+
+
+def test_sensitivity_matches_nested_quad_reference():
+    # face interiors and points within eps of a corner; the exact corners,
+    # where the value cancels to zero, are test_sensitivity_exact_corner_cancels'
+    eps = 0.1
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    theta1 = np.delete(_corner_probe_points(eps), [4, 5, 6, 7])
+    got = S.sensitivity_operator(CFG, h, np.stack([theta1, np.zeros_like(theta1)], axis=1),
+                                 eps, rtol=1e-6)
+    want = np.array([_nested_quad_value(CFG, h, t, eps) for t in theta1])
+    assert np.all(np.abs(got - want) <= 2e-6 * np.abs(want))
 
 
 def test_sensitivity_point_shapes():
