@@ -147,13 +147,15 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     the embedded samples gives each node its chord-nearest sample j_c.  The
     chord never exceeds the intrinsic distance, so the intrinsically
     nearest sample lies within chord radius d(node, j_c), widened by
-    r * (1 + 1e-12) + 1e-12 for rounding.  The node's k nearest samples by
-    chord, k doubling until the k-th chord exceeds that radius, hold every
-    sample inside it; only their intrinsic distances are computed.  The
-    result is the argmin over all samples, bit for bit.  The unresolved
-    nodes are searched in slices of at most TRANSPORT_BLOCK_ELEMENTS / k
-    nodes, so samples a few ulps apart, which drive k up to n, keep the
-    candidate arrays bounded.
+    r * (1 + 1e-12) + 1e-12 for rounding.  Most nodes' second chord-nearest
+    sample lies outside that radius, so j_c and it are the only candidates.
+    The others, whose samples tie within rounding, have every sample within
+    the radius counted by one ball query and taken as the k chord-nearest at
+    that count; only the candidates' intrinsic distances are computed.  The
+    result is the argmin over all samples, bit for bit.  Those nodes are
+    searched in slices of at most TRANSPORT_BLOCK_ELEMENTS candidates, so
+    samples a few ulps apart, which put up to n samples in a radius, keep
+    the candidate arrays bounded.
     """
     if not eps_tilde > 0:
         raise ValueError(f"eps_tilde must be positive, got {eps_tilde!r}")
@@ -164,38 +166,46 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
     weights = weights / weights.sum()
     n = cloud.n
     # coincident samples are searched once, as their lowest index: copies of
-    # one point would otherwise drive every node's k toward n
+    # one point would otherwise all be candidates of every node near it
     first = np.unique(cloud.params.reshape(n, -1), axis=0, return_index=True)[1]
     first.sort()
     params = cloud.params[first]
     count = len(first)
     x = model.embed(nodes)
     tree = cKDTree(cloud.ambient[first])
-    _, chord_nearest = tree.query(x)
+    k = min(2, count)
+    chord, cand = (a.reshape(len(x), k) for a in tree.query(x, k=k))
     # the absolute margin is needed: for a nearly coincident pair the chord
     # can round above the intrinsic distance by more than a relative 1e-12
-    radius = model.pair_distances(nodes, params[chord_nearest])
+    radius = model.pair_distances(nodes, params[cand[:, 0]])
     radius = radius * (1.0 + 1e-12) + 1e-12
     nearest = np.empty(len(x), dtype=np.int64)
     dist = np.empty(len(x))
-    todo = np.arange(len(x))
-    k = 1
-    while todo.size:
-        # a node is resolved once its k-th chord exceeds its radius (or k =
-        # count): every sample inside the radius is then among its k candidates
-        k = min(2 * k, count)
-        resolved = np.zeros(todo.size, dtype=bool)
-        step = max(1, TRANSPORT_BLOCK_ELEMENTS // k)
-        for lo in range(0, todo.size, step):
-            part = todo[lo:lo + step]
-            chord, cand = (a.reshape(part.size, k) for a in tree.query(x[part], k=k))
-            done = (chord[:, -1] > radius[part]) | (k == count)
-            rows, cand = part[done], cand[done]
-            d = model.pair_distances(nodes[rows, None], params[cand])
-            dist[rows] = d.min(axis=1)
-            nearest[rows] = np.where(d == dist[rows, None], cand, count).min(axis=1)
-            resolved[lo:lo + step] = done
-        todo = todo[~resolved]
+
+    def settle(rows, cand):
+        """The nearest of each row's candidates, ties to the lowest index."""
+        d = model.pair_distances(nodes[rows, None], params[cand])
+        dist[rows] = d.min(axis=1)
+        nearest[rows] = np.where(d == dist[rows, None], cand, count).min(axis=1)
+
+    # resolved: the second chord exceeds the radius, so the nearest sample is
+    # one of the two chord-nearest
+    done = (chord[:, -1] > radius) | (k == count)
+    settle(done, cand[done])
+    # the rest (near-ties) are searched at k = the number of samples within
+    # their radius, in slices of at most TRANSPORT_BLOCK_ELEMENTS candidates
+    # (one node at least), sorted by that number so a slice's k fits each node
+    todo = np.flatnonzero(~done)
+    sizes = tree.query_ball_point(x[todo], radius[todo], return_length=True)
+    order = np.argsort(sizes, kind="stable")
+    todo, sizes = todo[order], sizes[order]
+    lo = 0
+    while lo < todo.size:
+        span = np.arange(1, todo.size - lo + 1) * sizes[lo:]
+        hi = lo + max(1, int(np.searchsorted(span, TRANSPORT_BLOCK_ELEMENTS, side="right")))
+        part, k = todo[lo:hi], int(sizes[hi - 1])
+        settle(part, tree.query(x[part], k=k)[1].reshape(part.size, k))
+        lo = hi
     max_dist = float(dist.max())
     if max_dist > eps_tilde:
         raise CoverageGap(

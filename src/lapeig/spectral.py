@@ -13,12 +13,16 @@ grid modulus, since the grid can only underestimate a supremum.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolation,
                      KTooLarge, SolverFailure, SpanTooLarge)
@@ -28,6 +32,9 @@ from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 RESIDUAL_TOL = 1e-8
 LANCZOS_NCV = 40
 LANCZOS_MAXITER = 500
+# stored entries per row block of a split Lanczos matvec, at least; on a
+# 2-core Xeon two blocks lost to one at 305k entries and won 1.2-1.9x from 340k
+MATVEC_BLOCK_NNZ = 200_000
 
 SOLVER_DENSE = "dense"
 SOLVER_LANCZOS = "lanczos"
@@ -56,19 +63,100 @@ class Spectrum:
     weights: np.ndarray | None = None
 
 
-def _smallest_eigenpairs(mat: sparse.spmatrix,
+_CORES = len(os.sched_getaffinity(0))
+_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_solves_in_flight = 0
+
+
+@contextmanager
+def _counted_solve():
+    """Count a Lanczos solve in _solves_in_flight while it runs."""
+    global _solves_in_flight
+    with _lock:
+        _solves_in_flight += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _solves_in_flight -= 1
+
+
+def _matvec_pool() -> ThreadPoolExecutor:
+    """The module's block-product workers, started on first use, not at import."""
+    global _pool
+    with _lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="lapeig-matvec")
+        return _pool
+
+
+def _row_blocks(mat: sparse.csr_matrix, count: int) -> list[sparse.csr_matrix]:
+    """At most ``count`` contiguous row blocks of about equal nnz, as CSR views
+    of mat's data and indices.
+
+    The views are set on empty matrices: a ``mat[lo:hi]`` slice copies the
+    block, and so does the (data, indices, indptr) constructor for a view
+    under half the size of its base.
+    """
+    rows, cols = mat.shape
+    cuts = np.searchsorted(mat.indptr, np.arange(1, count) * (mat.nnz / count))
+    bounds = np.unique(np.concatenate(([0], cuts, [rows])))
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = mat.indptr[lo], mat.indptr[hi]
+        block = sparse.csr_matrix((hi - lo, cols), dtype=mat.dtype)
+        block.data, block.indices = mat.data[a:b], mat.indices[a:b]
+        block.indptr = mat.indptr[lo:hi + 1] - a
+        blocks.append(block)
+    return blocks
+
+
+def _blocks_matvec(blocks: list[sparse.csr_matrix], x: np.ndarray) -> np.ndarray:
+    """The products of the row blocks with x, stacked; the caller takes the first
+    block, the pool the others.  Each row is summed by the same CSR loop in the
+    same order as in the whole matrix, so the result is mat @ x bit for bit."""
+    futures = [_matvec_pool().submit(block.dot, x) for block in blocks[1:]]
+    return np.concatenate([blocks[0].dot(x)] + [f.result() for f in futures])
+
+
+def _lanczos_operator(mat: sparse.csr_matrix):
+    """mat itself, or an operator whose matvec spreads mat's rows over the cores
+    that the other solves in flight leave idle.
+
+    Each matvec uses min(cores // solves in flight, nnz // MATVEC_BLOCK_NNZ)
+    blocks, at least one, so solves running side by side (the harness's
+    threads) take one block each and a lone solve takes every core.
+    """
+    most = min(_CORES, mat.nnz // MATVEC_BLOCK_NNZ)
+    if most < 2:
+        return mat
+    split = {1: [mat]}
+
+    def matvec(x):
+        count = max(1, min(_CORES // _solves_in_flight, most))
+        if count not in split:
+            split[count] = _row_blocks(mat, count)
+        return _blocks_matvec(split[count], x)
+
+    return LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
+
+
+def _smallest_eigenpairs(mat: sparse.csr_matrix,
                          count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
     """Smallest eigenpairs of a symmetric PSD, diagonally dominant matrix.
 
     ARPACK's regular-mode Lanczos for the smallest algebraic values (one
     SpMV per step, no factorization), from a seeded start vector and with
-    LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.  Dense
-    ``eigh`` runs only for count >= n - 1, where ``eigsh`` refuses a sparse
-    matrix.  A single Krylov start vector finds one copy of an exactly
-    repeated eigenvalue only, so the multiplicity of zero is not read from
-    these values: graph_spectrum counts components first.  Returns (values,
-    unit vectors, solver, residual); a failed solve of either kind, or a
-    residual above RESIDUAL_TOL, is a SolverFailure.
+    LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.  Its
+    matvecs are split over the idle cores (_lanczos_operator), with every
+    iterate bit-identical to the unsplit one.  Dense ``eigh`` runs only for
+    count >= n - 1, where ``eigsh`` refuses a sparse matrix.  A single
+    Krylov start vector finds one copy of an exactly repeated eigenvalue
+    only, so the multiplicity of zero is not read from these values:
+    graph_spectrum counts components first.  Returns (values, unit vectors,
+    solver, residual); a failed solve of either kind, or a residual above
+    RESIDUAL_TOL, is a SolverFailure.
     """
     n = mat.shape[0]
     if count > n:
@@ -79,9 +167,10 @@ def _smallest_eigenpairs(mat: sparse.spmatrix,
             vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
         else:
             v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
-            vals, vecs = eigsh(mat, k=count, which="SA", tol=0, v0=v0,
-                               ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
-                               maxiter=LANCZOS_MAXITER)
+            with _counted_solve():
+                vals, vecs = eigsh(_lanczos_operator(mat), k=count, which="SA", tol=0, v0=v0,
+                                   ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
+                                   maxiter=LANCZOS_MAXITER)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
     # ARPACK errors are RuntimeErrors; LAPACK's are LinAlgErrors (a ValueError)

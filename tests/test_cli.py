@@ -302,3 +302,27 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh)
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("block failed"), MemoryError()])
+def test_block_worker_failure_exit_code(exc, tmp_path, monkeypatch):
+    # a failure inside one block of a split Lanczos matvec, on a pool thread
+    cloud_path = tmp_path / "cloud.json"
+    graph_path = tmp_path / "graph.json"
+    assert run(["sample", "--manifold", "circle", "--n", "1100", "--seed", "3",
+                "--out", str(cloud_path)]) == 0
+    assert run(["graph", "--in", str(cloud_path), "--eps", "auto",
+                "--out", str(graph_path)]) == 0
+    monkeypatch.setattr(spectral, "_CORES", 2)
+    monkeypatch.setattr(spectral, "MATVEC_BLOCK_NNZ", 1000)
+
+    class FailingBlock:
+        def dot(self, x):
+            raise exc
+
+    real = spectral._row_blocks
+    monkeypatch.setattr(spectral, "_row_blocks",
+                        lambda mat, count: real(mat, count)[:1] + [FailingBlock()])
+    assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
+    monkeypatch.setattr(spectral, "_row_blocks", real)
+    assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 0

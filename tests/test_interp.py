@@ -371,3 +371,26 @@ def test_transport_exact_tie_between_distinct_samples():
         theta, cloud.params[1])
     assert rep.assignment[200] == 0
     assert np.array_equal(rep.assignment, brute_force_transport(circle, cloud, 1000)[0])
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere"])
+def test_transport_ulp_apart_cloud_equals_brute_force(name, monkeypatch):
+    # runs of 200 and 40 samples, each one ulp after the last, among 300
+    # i.i.d. ones: the nodes near a run have all of it within their radius,
+    # and a small block bound splits their search into slices of each size
+    model = M.make_manifold(name)
+    params = M.sample_iid(model, 300, 6).params
+
+    def run(j, length):
+        return params[j] + np.multiply.outer(np.arange(1, length + 1), np.spacing(params[j]))
+
+    cloud = cloud_at(model, np.concatenate([params[:5], run(5, 200), params[5:100],
+                                            run(100, 40), params[100:]]))
+    monkeypatch.setattr(I, "TRANSPORT_BLOCK_ELEMENTS", 1000)
+    rep = I.transport_map(model, cloud, eps_tilde=10.0, quad_points=4000)
+    assignment, max_distance, masses = brute_force_transport(model, cloud, 4000)
+    assert np.array_equal(rep.assignment, assignment)
+    assert rep.max_distance == max_distance
+    assert np.array_equal(rep.masses, masses)
+    assert np.count_nonzero((rep.assignment >= 5) & (rep.assignment <= 205)) > 0
+    assert np.count_nonzero((rep.assignment >= 300) & (rep.assignment <= 340)) > 0

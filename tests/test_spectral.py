@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from lapeig import graph as G
+from lapeig import harness as H
 from lapeig import kernels as K
 from lapeig import manifolds as M
 from lapeig import spectral as S
@@ -507,3 +513,130 @@ def test_many_components_refused_fast():
         with pytest.raises(DisconnectedGraph, match="269 components"):
             S.graph_spectrum(g, 4, mode, IND, 2)
         assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The Lanczos matvec split over row blocks
+# ---------------------------------------------------------------------------
+
+def _rows_with_nnz(counts, cols=40, seed=0):
+    """A CSR matrix whose rows hold the given numbers of stored entries."""
+    rng = np.random.default_rng(seed)
+    indices = np.concatenate([np.sort(rng.choice(cols, c, replace=False)) for c in counts])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sparse.csr_matrix((rng.standard_normal(indptr[-1]), indices, indptr),
+                             shape=(len(counts), cols))
+
+
+def test_split_matvec_equals_whole_matvec():
+    # the cuts at 1/4, 2/4 and 3/4 of the entries give a one-row block and
+    # blocks that start with empty rows; the last row is empty too
+    skewed = _rows_with_nnz([30, 0, 0, 30, 1, 0, 0, 0, 29, 0, 0, 30, 0])
+    lap = _sparse_path_graph().laplacian()
+    for mat in (skewed, lap):
+        x = np.random.default_rng(1).standard_normal(mat.shape[1])
+        for count in range(1, max(S._CORES, 6) + 2):
+            blocks = S._row_blocks(mat, count)
+            assert 1 <= len(blocks) <= count
+            assert sum(b.shape[0] for b in blocks) == mat.shape[0]
+            assert all(np.shares_memory(b.data, mat.data)
+                       and np.shares_memory(b.indices, mat.indices) for b in blocks if b.nnz)
+            assert np.array_equal(S._blocks_matvec(blocks, x), mat @ x)
+    shapes = [b.shape[0] for b in S._row_blocks(skewed, 4)]
+    assert shapes == [1, 3, 5, 4]
+
+
+def _record_blocks(monkeypatch):
+    """(solves in flight, blocks) for every split matvec from now on."""
+    seen = []
+    real = S._blocks_matvec
+
+    def recording(blocks, x):
+        seen.append((S._solves_in_flight, len(blocks)))
+        return real(blocks, x)
+
+    monkeypatch.setattr(S, "_blocks_matvec", recording)
+    return seen
+
+
+def _force_split(monkeypatch, cores=3):
+    monkeypatch.setattr(S, "_CORES", cores)
+    monkeypatch.setattr(S, "MATVEC_BLOCK_NNZ", 1000)
+
+
+@pytest.mark.parametrize("solve", [S.unnormalized_spectrum, S.normalized_spectrum])
+def test_split_solve_is_bit_identical(solve, monkeypatch):
+    model = M.SquareBoundary()
+    g = G.build_graph(M.sample_iid(model, 1024, 3), IND, G.epsilon_schedule(1024, 1))
+    whole = solve(g, 4)
+    _force_split(monkeypatch)
+    seen = _record_blocks(monkeypatch)
+    split = solve(g, 4)
+    # a lone solve spreads every matvec over all the cores
+    assert len(seen) > 10 and set(seen) == {(1, 3)}
+    assert split.solver == whole.solver == S.SOLVER_LANCZOS
+    assert np.array_equal(split.values, whole.values)
+    assert np.array_equal(split.vectors, whole.vectors)
+
+
+def test_concurrent_solves_take_one_block_each(monkeypatch):
+    # the harness's two threads solve side by side: both solves are held
+    # until the other has started and until the other has finished
+    _force_split(monkeypatch, cores=2)
+    seen = _record_blocks(monkeypatch)
+    barrier = threading.Barrier(2, timeout=60)
+    real_eigsh = S.eigsh
+
+    def side_by_side(*args, **kwargs):
+        barrier.wait()
+        try:
+            return real_eigsh(*args, **kwargs)
+        finally:
+            barrier.wait()
+
+    monkeypatch.setattr(S, "eigsh", side_by_side)
+    config = H.ExperimentConfig(manifold="circle", n_grid=(600,), trials=2, k_max=4,
+                                threads=2)
+    report = H.run_convergence(config)
+    assert not report.failures
+    assert len(seen) > 10 and set(seen) == {(2, 1)}
+    assert S._solves_in_flight == 0
+    monkeypatch.setattr(S, "eigsh", real_eigsh)
+    serial = H.run_convergence(H.ExperimentConfig(manifold="circle", n_grid=(600,), trials=2,
+                                                  k_max=4))
+    assert [r.raw for r in report.rows] == [r.raw for r in serial.rows]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("block failed"), MemoryError()])
+def test_block_worker_failure_becomes_solver_failure(exc, monkeypatch):
+    _force_split(monkeypatch, cores=2)
+    g = _sparse_path_graph()
+    whole = S.unnormalized_spectrum(g, 4)
+    threads = []
+
+    class FailingBlock:
+        def dot(self, x):
+            threads.append(threading.current_thread().name)
+            raise exc
+
+    real = S._row_blocks
+    monkeypatch.setattr(S, "_row_blocks", lambda mat, count: real(mat, count)[:1] + [FailingBlock()])
+    with pytest.raises(SolverFailure, match=type(exc).__name__):
+        S.unnormalized_spectrum(g, 4)
+    assert threads and threads[0].startswith("lapeig-matvec")
+    assert S._solves_in_flight == 0
+    # the next solve runs on the same pool
+    pool = S._pool
+    monkeypatch.setattr(S, "_row_blocks", real)
+    again = S.unnormalized_spectrum(g, 4)
+    assert S._pool is pool
+    assert np.array_equal(again.values, whole.values)
+
+
+def test_import_starts_no_thread():
+    probe = ("import threading; import lapeig, lapeig.cli; from lapeig import spectral; "
+             "print(threading.active_count(), spectral._pool)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(S.__file__).parents[1])})
+    assert out.stdout.split() == ["1", "None"]
