@@ -125,8 +125,8 @@ def _lanczos_operator(mat: sparse.csr_matrix):
     that the other solves in flight leave idle.
 
     Each matvec uses min(cores // solves in flight, nnz // MATVEC_BLOCK_NNZ)
-    blocks, at least one, so solves running side by side (the harness's
-    threads) take one block each and a lone solve takes every core.
+    blocks, at least one, read afresh each time: solves running side by side
+    (the harness's threads) share the cores, and a lone solve takes them all.
     """
     most = min(_CORES, mat.nnz // MATVEC_BLOCK_NNZ)
     if most < 2:
