@@ -18,7 +18,7 @@ for name in ("circle", "torus", "sphere", "square", "singular"):
     ratio = np.max(intr / np.maximum(chord, 1e-12))
     print(f"{name:9s} m={model.m} d={model.d} vol={model.volume():8.4f} "
           f"mass={M.total_mass(model):.6f} max intr/chord={ratio:.3f} "
-          f"(bound {model.bilipschitz_bound():.3f})")
+          f"(bound {model.bilipschitz_bound:.3f})")
 
 print("\ncircle sampler matches the cosine density:")
 beta = 0.5

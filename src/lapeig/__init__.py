@@ -13,7 +13,7 @@ from .graph import build_graph, connectivity_report, epsilon_schedule, quadratic
 from .harness import (ExperimentConfig, fit_rate, run_convergence,
                       run_eigvec_alignment, splitmix64)
 from .interp import (InterpolationContext, dirichlet_energy_1d, lambda_eps,
-                     restrict, theta_eps, transport_map, weighted_l2_mass_1d)
+                     restrict, theta_eps, transport_map)
 from .kernels import (KernelProfile, indicator_kernel, kernel_constants,
                       parse_kernel, sigma_eta, sigma_tilde_eta,
                       triangular_kernel, truncated_gaussian_kernel,

@@ -14,6 +14,7 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .spectral import (MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum,
                        subspace_alignment)
 
 _MASK64 = (1 << 64) - 1
+# grid points of the finite-difference circle oracle
+ORACLE_GRID = 4096
 
 
 def _mix64(z: int) -> int:
@@ -56,7 +59,6 @@ class ExperimentConfig:
     master_seed: int = 20240501
     eps_rule: str = "auto:1"
     metric: str = "ambient"
-    oracle_grid: int = 4096
     threads: int = 1
 
     def __post_init__(self):
@@ -79,7 +81,7 @@ def target_spectrum(config: ExperimentConfig):
     if model.kind != "circle":
         raise LapeigError("non-constant densities only have a circle oracle")
     return model, oracle_spectrum_circle_weighted(
-        model.density, config.oracle_grid, config.k_max, which=which)
+        model.density, ORACLE_GRID, config.k_max, which=which)
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def face_midpoint_deviations(config: singular.SensitivityConfig) -> list[tuple[f
     theta0 = math.pi / 4.0
     out = []
     for eps in config.eps_grid:
-        val = singular.sensitivity_operator(config, h, (theta0, 0.0), eps, rtol=1e-6)
+        (val,) = singular.sensitivity_operator(config, h, (theta0, 0.0), eps, rtol=1e-6)
         out.append((float(eps), abs(val - target(theta0))))
     return out
 
@@ -343,9 +345,11 @@ def report_csv_text(report: ConvergenceReport) -> str:
 
 
 def _git_describe() -> str:
+    """The package's own commit, whatever directory the caller runs in."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5)
+                             capture_output=True, text=True, timeout=5,
+                             cwd=Path(__file__).resolve().parent)
         return out.stdout.strip() or "unknown"
     except Exception:
         return "unknown"

@@ -76,7 +76,7 @@ def _psi_weights(ctx: InterpolationContext, x) -> sparse.csr_matrix:
         cKDTree(model.embed(ctx.cloud.params)), radius, output_type="ndarray")
     rows, cols = pairs["i"], pairs["j"]
     dists = model.pair_distances(queries[rows], ctx.cloud.params[cols])
-    w = np.asarray(ctx.kernel.psi(dists / ctx.eps), dtype=float)
+    w = ctx.kernel.psi(dists / ctx.eps)
     keep = w > 0.0
     return sparse.csr_matrix((w[keep], (rows[keep], cols[keep])),
                              shape=(len(queries), ctx.cloud.n))
@@ -87,18 +87,15 @@ def _mass(w: sparse.csr_matrix) -> np.ndarray:
     return w @ np.ones(w.shape[1])
 
 
-def _is_scalar_query(ctx: InterpolationContext, x) -> bool:
-    return np.ndim(x) == (0 if ctx.cloud.model.m == 1 else 1)
+def theta_eps(ctx: InterpolationContext, x) -> np.ndarray:
+    """Local interpolation mass (1/n) sum_i psi(d(x, x_i)/eps), one entry per
+    query point (a single point gives one entry); zero is legal."""
+    return _mass(_psi_weights(ctx, x)) / ctx.cloud.n
 
 
-def theta_eps(ctx: InterpolationContext, x):
-    """Local interpolation mass (1/n) sum_i psi(d(x, x_i)/eps); zero is legal."""
-    out = _mass(_psi_weights(ctx, x)) / ctx.cloud.n
-    return float(out[0]) if _is_scalar_query(ctx, x) else out
-
-
-def lambda_eps(ctx: InterpolationContext, u, x):
-    """Interpolated value sum_i psi(d(x, x_i)/eps) u_i / (n theta_eps(x)).
+def lambda_eps(ctx: InterpolationContext, u, x) -> np.ndarray:
+    """Interpolated value sum_i psi(d(x, x_i)/eps) u_i / (n theta_eps(x)),
+    one entry per query point (a single point gives one entry).
 
     A convex combination of the u_i carried by the eps-neighbors of x;
     reproduces constants exactly.  Raises UndefinedAtPoint where the local
@@ -113,8 +110,7 @@ def lambda_eps(ctx: InterpolationContext, u, x):
         bad = int(np.nonzero(mass <= 0.0)[0][0])
         raise UndefinedAtPoint(
             f"no sample within eps of query point index {bad}; theta_eps = 0")
-    out = (w @ u) / mass
-    return float(out[0]) if _is_scalar_query(ctx, x) else out
+    return (w @ u) / mass
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,8 @@ def transport_map(model, cloud: PointCloud, eps_tilde: float,
                            median_relative_deviation=float(np.median(rel)))
 
 
-def _circle_like_grid(model, quad_points: int):
+def dirichlet_energy_1d(model, f, quad_points: int = 4096) -> float:
+    """int |f'|^2 rho^2 along arc length, by central differences on a periodic grid."""
     if model.m != 1:
         raise UnsupportedDimension("energy quadrature supports 1-D chart models only")
     if quad_points < 16:
@@ -230,21 +227,7 @@ def _circle_like_grid(model, quad_points: int):
     two_pi = 2.0 * math.pi
     theta = (np.arange(quad_points) + 0.5) * two_pi / quad_points
     h_arc = (two_pi / quad_points) * model.chart_speed
-    return theta, h_arc
-
-
-def dirichlet_energy_1d(model, f, quad_points: int = 4096) -> float:
-    """int |f'|^2 rho^2 along arc length, by central differences on a periodic grid."""
-    theta, h_arc = _circle_like_grid(model, quad_points)
     vals = np.asarray(f(theta), dtype=float)
     deriv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h_arc)
     rho = model.rho(theta)
     return float(np.sum(deriv ** 2 * rho ** 2) * h_arc)
-
-
-def weighted_l2_mass_1d(model, f, quad_points: int = 4096) -> float:
-    """int f^2 rho along arc length."""
-    theta, h_arc = _circle_like_grid(model, quad_points)
-    vals = np.asarray(f(theta), dtype=float)
-    rho = model.rho(theta)
-    return float(np.sum(vals ** 2 * rho) * h_arc)

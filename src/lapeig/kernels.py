@@ -48,8 +48,8 @@ class KernelProfile:
     profile_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     label: str = ""
 
-    def eta(self, t):
-        """Evaluate eta(t); exactly zero beyond the support."""
+    def eta(self, t) -> np.ndarray:
+        """Evaluate eta(t) elementwise; exactly zero beyond the support."""
         t = np.asarray(t, dtype=float)
         inside = t <= self.support
         if self.kind == "indicator":
@@ -62,15 +62,10 @@ class KernelProfile:
             out = np.where(inside, self.profile_fn(t), 0.0)
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if out.ndim == 0:
-            return float(out)
         return out
 
-    def eta_at_34(self) -> float:
-        return float(self.eta(0.75 * self.support))
-
-    def psi(self, t):
-        """Tail integral psi(t) = int_t^inf eta(s) s ds; zero beyond the support."""
+    def psi(self, t) -> np.ndarray:
+        """Tail integral psi(t) = int_t^inf eta(s) s ds, elementwise; zero beyond the support."""
         t = np.asarray(t, dtype=float)
         tc = np.minimum(np.maximum(t, 0.0), self.support)
         if self.kind == "indicator":
@@ -94,10 +89,7 @@ class KernelProfile:
             out = vals.reshape(tc.shape)
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        out = np.maximum(out, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.asarray(np.maximum(out, 0.0))
 
     def stretched(self, factor: float) -> "KernelProfile":
         """Profile t -> eta(factor * t), with support scaled by 1/factor."""
@@ -106,7 +98,7 @@ class KernelProfile:
             kind="custom",
             support=self.support / factor,
             lipschitz_bound=self.lipschitz_bound * factor,
-            profile_fn=lambda t: np.asarray(base.eta(factor * np.asarray(t, dtype=float))),
+            profile_fn=lambda t: base.eta(factor * t),
             label=f"{self.label or self.kind}*stretched:{factor:g}",
         )
 
@@ -248,7 +240,7 @@ def validate_kernel(kernel: KernelProfile) -> KernelValidation:
             VIOLATES_SUPPORT, float(grid[i]),
             f"eta({grid[i]:.6g}) = {vals[i]:.6g} past t = 1"))
 
-    if kernel.eta_at_34() <= 0.0:
+    if kernel.eta(0.75 * kernel.support) <= 0.0:
         violations.append(KernelViolation(
             VIOLATES_POSITIVITY_AT_34, 0.75 * kernel.support, "eta(3/4) is not positive"))
 

@@ -149,18 +149,10 @@ class _BaseModel:
         return self.pair_distances(np.asarray(pa, dtype=float)[:, None],
                                    np.asarray(pb, dtype=float)[None, :])
 
-    def distance(self, p, q) -> float:
-        pa = np.asarray(p, dtype=float)[None] if self.m == 1 else np.atleast_2d(p)
-        pb = np.asarray(q, dtype=float)[None] if self.m == 1 else np.atleast_2d(q)
-        return float(self.pair_distances(pa, pb)[0])
-
-    def bilipschitz_bound(self) -> float:
-        """Bound on intrinsic distance over chord length; computed once per model."""
-        return self._bilipschitz
-
     @cached_property
-    def _bilipschitz(self) -> float:
-        """(pi/2) times the largest intrinsic/chord ratio over pairs of _bilipschitz_params()."""
+    def bilipschitz_bound(self) -> float:
+        """Bound on intrinsic distance over chord length, computed once per model:
+        (pi/2) times the largest intrinsic/chord ratio over pairs of _bilipschitz_params()."""
         params = self._bilipschitz_params()
         if params is None:
             return math.pi / 2.0

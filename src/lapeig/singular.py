@@ -142,7 +142,7 @@ def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps:
 
 
 def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
-                         rtol: float = 1e-3, atol: float = 1e-9):
+                         rtol: float = 1e-3, atol: float = 1e-9) -> np.ndarray:
     """Ball-average operator at z0 on M = boundary(square) x circle(r).
 
     Computes (1/eps^4) int over the ambient eps-ball of (h(z0) - h(z)),
@@ -150,8 +150,8 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     (theta1, theta2) as broadcasting arrays and must not depend on
     theta2: the circle factor is integrated exactly and only the square
     factor is discretized, by the midpoint rule.  ``z0`` is one chart
-    point, which gives a float, or an (N, 2) array of them, which gives N
-    values.  Each point's value is accepted once doubling its resolution
+    point or an (N, 2) array of them; the result has one value per point.
+    Each point's value is accepted once doubling its resolution
     changes it by less than ``rtol`` relatively (or ``atol``) within
     MAX_QUAD_DOUBLINGS doublings; if any point is still moving,
     QuadratureNotConverged is raised.  The points are evaluated in blocks
@@ -160,10 +160,9 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
-    pts = np.asarray(z0, dtype=float)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+    batch = np.atleast_2d(np.asarray(z0, dtype=float))
+    if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("z0 must be one chart point (theta1, theta2) or an (N, 2) array")
-    batch = np.atleast_2d(pts)
 
     def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
         step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
@@ -190,7 +189,7 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
         raise QuadratureNotConverged(
             f"ball-average quadrature still moving at {todo.size} of {len(batch)} points "
             f"after {MAX_QUAD_DOUBLINGS} doublings at eps={eps}")
-    return float(result[0]) if pts.ndim == 1 else result
+    return result
 
 
 def corner_defect_profile(m: int, t: float, method: str = "quadrature") -> float:
@@ -350,15 +349,12 @@ def dyadic_slopes(profile: DyadicProfile, level: int | None = None) -> SlopeData
     return SlopeData(level=n, slopes=d, jumps=e, total_jump=float(np.abs(e).sum()))
 
 
-def profile_function(profile: DyadicProfile, x, level: int | None = None):
-    """Piecewise-linear interpolant f_n evaluated at x in [0, 1] (periodic)."""
+def profile_function(profile: DyadicProfile, x, level: int | None = None) -> np.ndarray:
+    """Piecewise-linear interpolant f_n evaluated elementwise at x in [0, 1] (periodic)."""
     n = profile.level if level is None else level
     a = level_alpha(profile, n)
     xv = np.mod(np.asarray(x, dtype=float), 1.0)
-    out = np.interp(xv, np.arange(2 ** n + 1) / 2.0 ** n, a)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.asarray(np.interp(xv, np.arange(2 ** n + 1) / 2.0 ** n, a))
 
 
 def _segment_speeds(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -65,7 +65,8 @@ class Spectrum:
 
 _CORES = len(os.sched_getaffinity(0))
 _lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
+# the block-product workers; an executor starts its threads on its first submit
+_pool = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="lapeig-matvec")
 _solves_in_flight = 0
 
 
@@ -80,15 +81,6 @@ def _counted_solve():
     finally:
         with _lock:
             _solves_in_flight -= 1
-
-
-def _matvec_pool() -> ThreadPoolExecutor:
-    """The module's block-product workers, started on first use, not at import."""
-    global _pool
-    with _lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="lapeig-matvec")
-        return _pool
 
 
 def _row_blocks(mat: sparse.csr_matrix, count: int) -> list[sparse.csr_matrix]:
@@ -116,7 +108,7 @@ def _blocks_matvec(blocks: list[sparse.csr_matrix], x: np.ndarray) -> np.ndarray
     """The products of the row blocks with x, stacked; the caller takes the first
     block, the pool the others.  Each row is summed by the same CSR loop in the
     same order as in the whole matrix, so the result is mat @ x bit for bit."""
-    futures = [_matvec_pool().submit(block.dot, x) for block in blocks[1:]]
+    futures = [_pool.submit(block.dot, x) for block in blocks[1:]]
     return np.concatenate([blocks[0].dot(x)] + [f.result() for f in futures])
 
 
@@ -191,15 +183,13 @@ def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
                     residual=residual)
 
 
-def normalized_spectrum(graph: NeighborhoodGraph, k: int,
-                        kernel: KernelProfile | None = None,
-                        m: int | None = None) -> Spectrum:
+def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
+                        m: int) -> Spectrum:
     """Eigenpairs of L v = lambda D v via the symmetric D^(-1/2) L D^(-1/2).
 
     Eigenvectors are back-transformed and normalized in the degree-weighted
-    inner product (1/n) sum u_i v_i w_i.  With ``kernel`` and ``m`` given,
-    the weights are the scale-free degrees D_ii / (n eps^m sigma_tilde);
-    otherwise the raw degrees are used (same vectors up to a global factor).
+    inner product (1/n) sum u_i v_i w_i, whose weights are the scale-free
+    degrees D_ii / (n eps^m sigma_tilde) of ``kernel`` in dimension ``m``.
     """
     d = graph.degrees
     # D^(-1/2) L D^(-1/2) scaled in place: entry (i, j) becomes (s_i L_ij) s_j,
@@ -210,10 +200,7 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int,
     sym.data *= s[sym.indices]
     vals, vecs, solver, residual = _smallest_eigenpairs(sym, k + 1)
     back = vecs / np.sqrt(d)[:, None]
-    if kernel is not None and m is not None:
-        weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
-    else:
-        weights = d.copy()
+    weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)
     return Spectrum(values=vals, vectors=back / norms, solver=solver, residual=residual,
                     weights=weights)
@@ -253,7 +240,7 @@ def graph_spectrum(graph: NeighborhoodGraph, k: int, mode: str, kernel: KernelPr
         spec = unnormalized_spectrum(graph, k)
         rescaled = rescale_unnormalized(spec.values, graph.n, graph.eps, sig, m)
     else:
-        spec = normalized_spectrum(graph, k, kernel=kernel, m=m)
+        spec = normalized_spectrum(graph, k, kernel, m)
         rescaled = rescale_normalized(spec.values, graph.eps, sig, sigma_tilde_eta(kernel, m))
     return spec, rescaled
 
@@ -273,7 +260,6 @@ class AlignmentReport:
     f_bound: float | None = None
     f_slack: float | None = None
     gap: float | None = None
-    max_grid_residual: float | None = None
     conclusion_ok: bool | None = None
 
 
@@ -513,6 +499,5 @@ def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2,
         residuals=np.array([residual]),
         e1=e1, e2=e2, e3=e3, e4=e4,
         f_bound=f_bound, f_slack=f_slack, gap=gamma,
-        max_grid_residual=residual,
         conclusion_ok=bool(residual <= f_bound + f_slack + 1e-9),
     )

@@ -35,7 +35,7 @@ def test_criterion_01_exact_algebra():
     assert np.allclose(S.unnormalized_spectrum(clique, 2).values, [0, 3, 3], atol=1e-9)
     path = G.build_graph(M.ambient_cloud([[0.0], [0.5], [1.0]]), IND, 0.6)
     assert np.allclose(S.unnormalized_spectrum(path, 2).values, [0, 1, 3], atol=1e-9)
-    norm_vals = S.normalized_spectrum(path, 2).values
+    norm_vals = S.normalized_spectrum(path, 2, IND, 1).values
     assert np.allclose(norm_vals, [0.0, 0.5, 7.0 / 6.0], atol=1e-9)
     dense = sla.eigh(path.laplacian().toarray(), np.diag(path.degrees),
                      eigvals_only=True)
@@ -101,7 +101,7 @@ def test_criterion_05_square_boundary():
 
 def test_criterion_06_nonconstant_density():
     config = H.ExperimentConfig(density="cos:0.5", n_grid=(4096,), trials=20,
-                                k_max=2, master_seed=MASTER_SEED, oracle_grid=4096)
+                                k_max=2, master_seed=MASTER_SEED)
     report = H.run_convergence(config)
     assert not report.failures
     meds = {k: float(np.median([r.rel_error for r in report.rows if r.k == k]))

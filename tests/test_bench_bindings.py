@@ -3,12 +3,14 @@ would make every benchmark run fail, so check the names resolve."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 from lapeig import spectral
 
-INSTRUMENT = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+INSTRUMENT = BENCH / "instrument.py"
 
 
 def test_wrapped_names_resolve(monkeypatch):
@@ -22,3 +24,12 @@ def test_wrapped_names_resolve(monkeypatch):
         for name in names:
             assert callable(getattr(module, name, None)), f"lapeig.{layer}.{name}"
     assert callable(getattr(spectral, "eigsh", None))
+
+
+def test_benchmark_selftest_catches_every_fault():
+    # the checker calls library functions beyond the wrapped names; -B keeps
+    # bench/ free of bytecode
+    out = subprocess.run([sys.executable, "-B", str(BENCH / "selftest.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == ["ok"] * 4

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -99,6 +101,19 @@ def test_json_roundtrip(tmp_path):
     assert H.ExperimentConfig(**dict(config, n_grid=tuple(config["n_grid"]))) == report.config
     assert np.array_equal(obj["targets"], report.targets)
     assert obj["failures"] == [list(f) for f in report.failures]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_names_the_package_not_the_working_directory(tmp_path, monkeypatch):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "init.defaultBranch=main"]
+    subprocess.run(git + ["init", "-q", str(tmp_path)], check=True)
+    subprocess.run(git + ["-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "x"],
+                   check=True)
+    head = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tmp_path,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    report = H.ConvergenceReport(config=SMALL, targets=np.zeros(3))
+    assert H.report_json_obj(report)["metadata"]["git_describe"] != head
 
 
 def test_config_refuses_nonpositive_threads():

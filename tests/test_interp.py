@@ -155,17 +155,15 @@ def test_energy_values():
     assert I.dirichlet_energy_1d(circle, lambda t: np.ones_like(t), 512) == 0.0
     energy = I.dirichlet_energy_1d(circle, np.sin, 4096)
     assert energy == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-4)
-    mass = I.weighted_l2_mass_1d(circle, np.sin, 4096)
-    assert energy / mass == pytest.approx(1.0 / TWO_PI, rel=1e-4)
 
 
 def test_energy_square_boundary():
     square = M.SquareBoundary()
     # first eigenfunction along arc length: sin(pi s / 2) with s = 2 theta / pi
     f = lambda theta: np.sin(theta)
+    # |df/ds|^2 = (pi/2)^2 cos^2 and rho = 1/4 over the perimeter 4
     energy = I.dirichlet_energy_1d(square, f, 4096)
-    mass = I.weighted_l2_mass_1d(square, f, 4096)
-    assert energy / mass == pytest.approx(0.25 * (math.pi / 2.0) ** 2, rel=1e-4)
+    assert energy == pytest.approx(math.pi ** 2 / 32.0, rel=1e-4)
 
 
 def test_energy_dimension_guard():

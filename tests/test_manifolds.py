@@ -26,15 +26,15 @@ def test_embed_examples():
 
 def test_intrinsic_distance_examples():
     circle = M.UnitCircle()
-    assert circle.distance(0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)
+    assert circle.pair_distances(0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)
     square = M.SquareBoundary()
     # adjacent corners (1,0) and (0,1): two arcs of length 2 around the loop
-    assert square.distance(math.pi / 2.0, 3.0 * math.pi / 2.0) == pytest.approx(2.0)
+    assert square.pair_distances(math.pi / 2.0, 3.0 * math.pi / 2.0) == pytest.approx(2.0)
     sphere = M.UnitSphere()
-    assert sphere.distance([0.0, 0.0], [math.pi / 2.0, 0.3]) == pytest.approx(
+    assert sphere.pair_distances([0.0, 0.0], [math.pi / 2.0, 0.3]) == pytest.approx(
         math.pi / 2.0, abs=1e-12)
     torus = M.CliffordTorus()
-    assert torus.distance([0.0, 0.0], [math.pi, math.pi]) == pytest.approx(
+    assert torus.pair_distances([0.0, 0.0], [math.pi, math.pi]) == pytest.approx(
         math.pi * math.sqrt(2.0), abs=1e-12)
 
 
@@ -153,11 +153,11 @@ def test_chord_below_intrinsic_and_bilipschitz(name):
     chord = np.linalg.norm(cloud.ambient[:, None, :] - cloud.ambient[None, :, :], axis=-1)
     intr = model.cross_distances(cloud.params, cloud.params)
     assert np.all(chord <= intr + 1e-9)
-    bound = model.bilipschitz_bound()
+    bound = model.bilipschitz_bound
     assert np.all(intr <= bound * chord + 1e-9)
     # the bound is computed once: a second call does not embed again
     model.embed = None
-    assert model.bilipschitz_bound() == bound
+    assert model.bilipschitz_bound == bound
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -168,7 +168,7 @@ def test_bilipschitz_many_pairs(name):
     chord = np.linalg.norm(a.ambient - b.ambient, axis=-1)
     intr = model.pair_distances(a.params, b.params)
     assert np.all(chord <= intr + 1e-9)
-    assert np.all(intr <= model.bilipschitz_bound() * chord + 1e-9)
+    assert np.all(intr <= model.bilipschitz_bound * chord + 1e-9)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

@@ -189,8 +189,8 @@ def test_sensitivity_batch_matches_single_points():
     pts = np.stack([theta1, np.zeros_like(theta1)], axis=1)
     batch = S.sensitivity_operator(CFG, h, pts, eps, rtol=tol, atol=tol)
     singles = [S.sensitivity_operator(CFG, h, tuple(p), eps, rtol=tol, atol=tol) for p in pts]
-    assert all(isinstance(v, float) for v in singles)
-    assert batch.tobytes() == np.array(singles).tobytes()
+    assert all(v.shape == (1,) for v in singles)
+    assert batch.tobytes() == np.concatenate(singles).tobytes()
 
 
 def _nested_quad_value(config, h, theta1_0, eps):

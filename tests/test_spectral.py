@@ -31,6 +31,11 @@ def path3():
     return G.build_graph(M.ambient_cloud([[0.0], [0.5], [1.0]]), IND, 0.6)
 
 
+def normalized(graph, k):
+    """The degree-weighted solve, weighted with the indicator's constants for a curve."""
+    return S.normalized_spectrum(graph, k, IND, 1)
+
+
 def rand_spd(n, rng, ridge=1.0):
     a = rng.standard_normal((n, n))
     return a @ a.T / n + ridge * np.eye(n)
@@ -53,7 +58,7 @@ def test_path_spectrum():
 
 def test_path_normalized_spectrum():
     g = path3()
-    spec = S.normalized_spectrum(g, 2)
+    spec = normalized(g, 2)
     assert np.allclose(spec.values, [0.0, 0.5, 7.0 / 6.0], atol=1e-12)
     # dense generalized oracle
     lap = g.laplacian().toarray()
@@ -66,7 +71,7 @@ def test_path_normalized_spectrum():
 
 
 def test_clique_normalized():
-    spec = S.normalized_spectrum(clique3(), 2)
+    spec = normalized(clique3(), 2)
     assert np.allclose(spec.values, [0.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -76,7 +81,7 @@ def test_sparse_solver_matches_dense():
     lap = g.laplacian().toarray()
     inv_sqrt = 1.0 / np.sqrt(g.degrees)
     for spec, mat, back in ((S.unnormalized_spectrum(g, 4), lap, np.ones(g.n)),
-                            (S.normalized_spectrum(g, 4),
+                            (normalized(g, 4),
                              inv_sqrt[:, None] * lap * inv_sqrt[None, :], inv_sqrt)):
         assert spec.solver == S.SOLVER_LANCZOS
         vals, vecs = sla.eigh(mat, subset_by_index=[0, 4])
@@ -91,7 +96,7 @@ def test_dense_only_where_arpack_cannot_run(monkeypatch):
         raise RuntimeError("eigsh reached")
 
     monkeypatch.setattr(S, "eigsh", no_lanczos)
-    for solve in (S.unnormalized_spectrum, S.normalized_spectrum):
+    for solve in (S.unnormalized_spectrum, normalized):
         assert solve(path3(), 2).solver == S.SOLVER_DENSE
         with pytest.raises(SolverFailure, match="eigsh reached"):
             solve(path3(), 0)
@@ -119,7 +124,7 @@ def test_lanczos_finds_both_copies_of_double_eigenvalues(mode):
 def test_normalized_equals_symmetric_similarity():
     cloud = M.sample_iid(M.UnitCircle(), 150, 5)
     g = G.build_graph(cloud, IND, 0.5)
-    spec = S.normalized_spectrum(g, 3)
+    spec = normalized(g, 3)
     inv_sqrt = np.diag(1.0 / np.sqrt(g.degrees))
     sym = inv_sqrt @ g.laplacian().toarray() @ inv_sqrt
     ref = np.sort(sla.eigh(sym, eigvals_only=True))[:4]
@@ -132,12 +137,13 @@ def test_normalized_matrix_equals_diagonal_products(name, monkeypatch):
     # D^(-1/2) @ L @ D^(-1/2) with sparse diagonal matrices, bit for bit
     model = M.make_manifold(name)
     cloud = M.sample_iid(model, 1024, 4)
-    g = G.build_graph(cloud, K.triangular_kernel(1.2), G.epsilon_schedule(1024, model.m))
+    kernel = K.triangular_kernel(1.2)
+    g = G.build_graph(cloud, kernel, G.epsilon_schedule(1024, model.m))
     seen = []
     solve = S._smallest_eigenpairs
     monkeypatch.setattr(S, "_smallest_eigenpairs",
                         lambda mat, count: seen.append(mat) or solve(mat, count))
-    spec = S.normalized_spectrum(g, 3)
+    spec = S.normalized_spectrum(g, 3, kernel, model.m)
     inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
     ref = (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr()
     (sym,) = seen
@@ -173,12 +179,12 @@ def test_mean_dot_orthonormality():
 def test_similarity_invariance_under_kernel_scaling():
     cloud = M.sample_iid(M.UnitCircle(), 250, 2)
     g = G.build_graph(cloud, IND, 0.4)
-    base = S.normalized_spectrum(g, 3).values
+    base = normalized(g, 3).values
     for c in (0.5, 2.0):
         scaled = G.NeighborhoodGraph(
             n=g.n, eps=g.eps, kernel_id=g.kernel_id, metric=g.metric,
             kernel_matrix=(g.kernel_matrix * c).tocsr(), degrees=g.degrees * c)
-        vals = S.normalized_spectrum(scaled, 3).values
+        vals = normalized(scaled, 3).values
         assert np.allclose(vals, base, atol=1e-9)
 
 
@@ -213,7 +219,7 @@ def test_k_too_large():
     with pytest.raises(KTooLarge):
         S.unnormalized_spectrum(clique3(), 3)
     with pytest.raises(KTooLarge):
-        S.normalized_spectrum(clique3(), 3)
+        normalized(clique3(), 3)
 
 
 def test_subspace_alignment_identical_and_orthogonal():
@@ -317,7 +323,7 @@ def test_eigenvector_comparison_perturbed():
             continue
         checked += 1
         assert rep.conclusion_ok
-        assert rep.max_grid_residual <= rep.f_bound + rep.f_slack + 1e-9
+        assert rep.residuals[0] <= rep.f_bound + rep.f_slack + 1e-9
     assert checked >= 20
 
 
@@ -437,7 +443,7 @@ def test_lanczos_restart_limit_becomes_solver_failure(monkeypatch):
     # the real ARPACK run, cut off after one restart
     g = _sparse_path_graph()
     monkeypatch.setattr(S, "LANCZOS_MAXITER", 1)
-    for solve in (S.unnormalized_spectrum, S.normalized_spectrum):
+    for solve in (S.unnormalized_spectrum, normalized):
         with pytest.raises(SolverFailure, match="No convergence"):
             solve(g, 4)
 
@@ -461,7 +467,7 @@ def test_large_residual_becomes_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure, match="residual"):
         S.unnormalized_spectrum(g, 4)
     with pytest.raises(SolverFailure, match="residual"):
-        S.normalized_spectrum(g, 4)
+        normalized(g, 4)
 
 
 def test_lanczos_matches_direct_shift_invert():
@@ -473,7 +479,7 @@ def test_lanczos_matches_direct_shift_invert():
         inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
         sym = inv_sqrt @ g.laplacian() @ inv_sqrt
         for spec, mat in ((S.unnormalized_spectrum(g, 4), g.laplacian()),
-                          (S.normalized_spectrum(g, 4), sym)):
+                          (S.normalized_spectrum(g, 4, IND, model.m), sym)):
             assert spec.solver == S.SOLVER_LANCZOS
             sigma = -max(1e-8, 1e-3 * float(np.mean(mat.diagonal())))
             ref = np.sort(eigsh(mat.tocsc(), k=5, sigma=sigma, which="LM", v0=v0)[0])
@@ -564,7 +570,8 @@ def _force_split(monkeypatch, cores=3):
     monkeypatch.setattr(S, "MATVEC_BLOCK_NNZ", 1000)
 
 
-@pytest.mark.parametrize("solve", [S.unnormalized_spectrum, S.normalized_spectrum])
+@pytest.mark.parametrize("solve", [S.unnormalized_spectrum, normalized],
+                         ids=["unnormalized_spectrum", "normalized_spectrum"])
 def test_split_solve_is_bit_identical(solve, monkeypatch):
     model = M.SquareBoundary()
     g = G.build_graph(M.sample_iid(model, 1024, 3), IND, G.epsilon_schedule(1024, 1))
@@ -635,8 +642,8 @@ def test_block_worker_failure_becomes_solver_failure(exc, monkeypatch):
 
 def test_import_starts_no_thread():
     probe = ("import threading; import lapeig, lapeig.cli; from lapeig import spectral; "
-             "print(threading.active_count(), spectral._pool)")
+             "print(threading.active_count(), not spectral._pool._threads)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(S.__file__).parents[1])})
-    assert out.stdout.split() == ["1", "None"]
+    assert out.stdout.split() == ["1", "True"]
