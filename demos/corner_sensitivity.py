@@ -12,12 +12,13 @@ import math
 import numpy as np
 
 from lapeig import harness as H
+from lapeig import kernels as K
 from lapeig import singular as SG
 
 config = SG.SensitivityConfig(alpha=0.0, m2_radius=1.0,
                               eps_grid=(0.2, 0.1, 0.05, 0.025),
                               quad_resolution=256)
-sigma = SG.sigma_indicator(2)
+sigma = K.sigma_eta(K.indicator_kernel(), 2)
 h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
 
 print("smooth point (face midpoint): defect shrinks ~4x per eps halving")

@@ -21,7 +21,7 @@ import numpy as np
 from . import interp, singular
 from .errors import GapViolation, InsufficientGrid, LapeigError
 from .graph import build_graph, eps_from_rule
-from .kernels import parse_kernel
+from .kernels import indicator_kernel, parse_kernel, sigma_eta
 from .manifolds import (NORMALIZED, WEIGHTED, analytic_spectrum, make_manifold,
                         oracle_spectrum_circle_weighted, parse_density, sample_iid)
 from .spectral import (MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum,
@@ -151,11 +151,8 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         except LapeigError as exc:
             return [], (n, t, str(exc))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        results = list(pool.map(work, jobs))
     for rows, failure in results:
         report.rows.extend(rows)
         if failure is not None:
@@ -278,7 +275,7 @@ class SensitivityRow:
 def _defect_reference(alpha: float):
     """h(theta1, theta2) = sin(theta1 - alpha) on square x circle, and the limit
     theta0 -> (sigma/2) (pi/2)^2 h(theta0, .) of its ball average on a face."""
-    scale = 0.5 * singular.sigma_indicator(2) * (math.pi / 2.0) ** 2
+    scale = 0.5 * sigma_eta(indicator_kernel(), 2) * (math.pi / 2.0) ** 2
     h = lambda t1, t2: singular.circle_eigenfunction(t1, alpha)
     return h, lambda theta0: float(scale * h(theta0, 0.0))
 
@@ -345,13 +342,15 @@ def report_csv_text(report: ConvergenceReport) -> str:
 
 
 def _git_describe() -> str:
-    """The package's own commit, whatever directory the caller runs in."""
+    """The package's own commit from any working directory; "unknown" unless git tracks it."""
+    here = Path(__file__).resolve()
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5,
-                             cwd=Path(__file__).resolve().parent)
+        for args in (["ls-files", "--error-unmatch", here.name],
+                     ["describe", "--always", "--dirty"]):
+            out = subprocess.run(["git", *args], capture_output=True, text=True, timeout=5,
+                                 cwd=here.parent, check=True)
         return out.stdout.strip() or "unknown"
-    except Exception:
+    except (OSError, ValueError, subprocess.SubprocessError):
         return "unknown"
 
 

@@ -549,7 +549,7 @@ def oracle_spectrum_circle_weighted(density: DensitySpec, grid_size: int, k: int
     try:
         vals_out = eigsh(stiff, k=count, M=mass_mat, sigma=-1e-3, which="LM",
                          v0=v0, return_eigenvectors=False)
-    except Exception as exc:  # pragma: no cover - solver hiccups
+    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         raise SolverFailure(str(exc)) from exc
     vals_out = np.sort(vals_out)
     tiny = np.abs(vals_out) < 1e-9 * max(1.0, float(np.abs(vals_out).max()))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import LevelTooDeep, QuadratureNotConverged
-from .kernels import ball_volume, sphere_volume
+from .kernels import ball_volume
 
 MAX_DYADIC_LEVEL = 24
 
@@ -101,11 +101,6 @@ class SensitivityConfig:
     def nodes_per_face(self, eps: float) -> int:
         """Corner-sweep nodes per face; grows like 1/eps so the corner layers stay resolved."""
         return max(self.quad_resolution // 2, int(24.0 / eps))
-
-
-def sigma_indicator(m: int) -> float:
-    """Moment constant of the indicator kernel: Vol(S^(m-1)) / (m (m+2))."""
-    return sphere_volume(m) / (m * (m + 2))
 
 
 def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps: float,

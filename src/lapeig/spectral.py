@@ -1,5 +1,8 @@
 """Eigen-solvers for L and (L, D), eigenvalue rescalings, and subspace comparison.
 
+Both solve A = diag(a) - diag(s) K diag(s) on the graph's own K, building no
+matrix: L for (a, s) = (D, 1), D^(-1/2) L D^(-1/2) for (a, s) = (1, D^(-1/2)).
+
 The comparison half works on finite-dimensional inner-product spaces given
 as matrices: an SPD Gram matrix for the inner product and a symmetric PSD
 matrix for the quadratic form.  The eigenvector comparison covers the one
@@ -109,67 +112,73 @@ def _blocks_matvec(blocks: list[sparse.csr_matrix], x: np.ndarray) -> np.ndarray
     block, the pool the others.  Each row is summed by the same CSR loop in the
     same order as in the whole matrix, so the result is mat @ x bit for bit."""
     futures = [_pool.submit(block.dot, x) for block in blocks[1:]]
-    return np.concatenate([blocks[0].dot(x)] + [f.result() for f in futures])
+    first = blocks[0].dot(x)
+    return np.concatenate([first] + [f.result() for f in futures]) if futures else first
 
 
-def _lanczos_operator(mat: sparse.csr_matrix):
-    """mat itself, or an operator whose matvec spreads mat's rows over the cores
-    that the other solves in flight leave idle.
+def _scaled_product(kdot, a: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a*x - s*(K (s*x)) with K x taken by kdot; a and s are columns for a matrix x."""
+    y = kdot(s * x)
+    y *= s
+    return np.subtract(a * x, y, out=y)
+
+
+def _lanczos_operator(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray):
+    """diag(a) - diag(s) K diag(s) as an operator whose K products spread K's rows
+    over the cores that the other solves in flight leave idle.
 
     Each matvec uses min(cores // solves in flight, nnz // MATVEC_BLOCK_NNZ)
     blocks, at least one, read afresh each time: solves running side by side
     (the harness's threads) share the cores, and a lone solve takes them all.
     """
-    most = min(_CORES, mat.nnz // MATVEC_BLOCK_NNZ)
-    if most < 2:
-        return mat
-    split = {1: [mat]}
+    most = max(1, min(_CORES, kmat.nnz // MATVEC_BLOCK_NNZ))
+    split = {count: _row_blocks(kmat, count) for count in range(1, most + 1)}
 
-    def matvec(x):
-        count = max(1, min(_CORES // _solves_in_flight, most))
-        if count not in split:
-            split[count] = _row_blocks(mat, count)
-        return _blocks_matvec(split[count], x)
+    def kdot(x):
+        return _blocks_matvec(split[max(1, min(_CORES // _solves_in_flight, most))], x)
 
-    return LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
+    return LinearOperator(kmat.shape, matvec=lambda x: _scaled_product(kdot, a, s, x),
+                          dtype=kmat.dtype)
 
 
-def _smallest_eigenpairs(mat: sparse.csr_matrix,
+def _smallest_eigenpairs(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
                          count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
-    """Smallest eigenpairs of a symmetric PSD, diagonally dominant matrix.
+    """Smallest eigenpairs of A = diag(a) - diag(s) K diag(s), PSD and diagonally dominant.
 
     ARPACK's regular-mode Lanczos for the smallest algebraic values (one
-    SpMV per step, no factorization), from a seeded start vector and with
-    LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.  Its
-    matvecs are split over the idle cores (_lanczos_operator), with every
-    iterate bit-identical to the unsplit one.  Dense ``eigh`` runs only for
-    count >= n - 1, where ``eigsh`` refuses a sparse matrix.  A single
+    product with K per step, no factorization), from a seeded start vector
+    and with LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.
+    Its K products are split over the idle cores (_lanczos_operator), with
+    every iterate bit-identical to the unsplit one.  Dense ``eigh`` of A runs
+    only for count >= n - 1, where ``eigsh`` refuses an operator.  A single
     Krylov start vector finds one copy of an exactly repeated eigenvalue
     only, so the multiplicity of zero is not read from these values:
     graph_spectrum counts components first.  Returns (values, unit vectors,
     solver, residual); a failed solve of either kind, or a residual above
-    RESIDUAL_TOL, is a SolverFailure.
+    RESIDUAL_TOL relative to 2 max diag(A), is a SolverFailure.
     """
-    n = mat.shape[0]
+    n = kmat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
     solver = SOLVER_DENSE if count >= n - 1 else SOLVER_LANCZOS
     try:
         if solver == SOLVER_DENSE:
-            vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
+            dense = _scaled_product(kmat.dot, a[:, None], s[:, None], np.eye(n))
+            vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
         else:
             v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
             with _counted_solve():
-                vals, vecs = eigsh(_lanczos_operator(mat), k=count, which="SA", tol=0, v0=v0,
-                                   ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
+                vals, vecs = eigsh(_lanczos_operator(kmat, a, s), k=count, which="SA", tol=0,
+                                   v0=v0, ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
                                    maxiter=LANCZOS_MAXITER)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
     # ARPACK errors are RuntimeErrors; LAPACK's are LinAlgErrors (a ValueError)
     except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         raise SolverFailure(f"{solver} solve of a {n}x{n} matrix failed: {exc!r}") from exc
-    bound = 2.0 * float(mat.diagonal().max())
-    worst = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
+    bound = 2.0 * float(np.max(a - s * s * kmat.diagonal()))
+    resid = _scaled_product(kmat.dot, a[:, None], s[:, None], vecs) - vecs * vals
+    worst = float(np.linalg.norm(resid, axis=0).max())
     if not worst <= RESIDUAL_TOL * bound:
         raise SolverFailure(f"{solver} eigenpairs of a {n}x{n} matrix have residual "
                             f"{worst:.3g}, above {RESIDUAL_TOL:g} x {bound:.4g}")
@@ -177,28 +186,24 @@ def _smallest_eigenpairs(mat: sparse.csr_matrix,
 
 
 def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
-    """Smallest k+1 eigenpairs of L, eigenvectors of mean-square norm one."""
-    vals, vecs, solver, residual = _smallest_eigenpairs(graph.laplacian(), k + 1)
+    """Smallest k+1 eigenpairs of L = D - K, eigenvectors of mean-square norm one."""
+    vals, vecs, solver, residual = _smallest_eigenpairs(
+        graph.kernel_matrix, graph.degrees, np.ones(graph.n), k + 1)
     return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n), solver=solver,
                     residual=residual)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
                         m: int) -> Spectrum:
-    """Eigenpairs of L v = lambda D v via the symmetric D^(-1/2) L D^(-1/2).
+    """Eigenpairs of L v = lambda D v via D^(-1/2) L D^(-1/2) = I - D^(-1/2) K D^(-1/2).
 
     Eigenvectors are back-transformed and normalized in the degree-weighted
     inner product (1/n) sum u_i v_i w_i, whose weights are the scale-free
     degrees D_ii / (n eps^m sigma_tilde) of ``kernel`` in dimension ``m``.
     """
     d = graph.degrees
-    # D^(-1/2) L D^(-1/2) scaled in place: entry (i, j) becomes (s_i L_ij) s_j,
-    # the same products the two diagonal matrix products would round
-    s = 1.0 / np.sqrt(d)
-    sym = graph.laplacian()
-    sym.data *= np.repeat(s, np.diff(sym.indptr))
-    sym.data *= s[sym.indices]
-    vals, vecs, solver, residual = _smallest_eigenpairs(sym, k + 1)
+    vals, vecs, solver, residual = _smallest_eigenpairs(
+        graph.kernel_matrix, np.ones(graph.n), 1.0 / np.sqrt(d), k + 1)
     back = vecs / np.sqrt(d)[:, None]
     weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)

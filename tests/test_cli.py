@@ -296,9 +296,12 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
 
     # eigenvalues off by far more than the residual tolerance
-    def perturbed_eigsh(mat, *args, **kwargs):
-        vals, vecs = real_eigsh(mat, *args, **kwargs)
-        return vals + 1e-6 * mat.diagonal().max(), vecs
+    graph, _ = _graph_from_json(json.loads(graph_path.read_text()))
+    shift = 1e-6 * 2.0 * graph.degrees.max()
+
+    def perturbed_eigsh(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        return vals + shift, vecs
 
     monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh)
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +117,22 @@ def test_git_describe_names_the_package_not_the_working_directory(tmp_path, monk
     monkeypatch.chdir(tmp_path)
     report = H.ConvergenceReport(config=SMALL, targets=np.zeros(3))
     assert H.report_json_obj(report)["metadata"]["git_describe"] != head
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_skips_a_repository_that_does_not_track_the_package(tmp_path):
+    # a vendored copy, untracked inside another repository, has no commit of its own
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "init.defaultBranch=main"]
+    subprocess.run(git + ["init", "-q", str(tmp_path)], check=True)
+    subprocess.run(git + ["-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "x"],
+                   check=True)
+    shutil.copytree(Path(H.__file__).parent, tmp_path / "vendor" / "lapeig",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = "from lapeig import harness; print(harness._git_describe())"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path / "vendor")})
+    assert out.stdout.strip() == "unknown"
 
 
 def test_config_refuses_nonpositive_threads():

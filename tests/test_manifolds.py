@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from lapeig import manifolds as M
-from lapeig.errors import GridTooSmall, NoAnalyticSpectrum, UnsupportedDensity
+from lapeig.errors import GridTooSmall, NoAnalyticSpectrum, SolverFailure, UnsupportedDensity
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,6 +214,22 @@ def test_oracle_grid_consistency():
     a = M.oracle_spectrum_circle_weighted(M.cosine_density(0.5), 2048, 3)
     b = M.oracle_spectrum_circle_weighted(M.cosine_density(0.5), 4096, 3)
     assert np.max(np.abs(a - b)) <= 1e-4
+
+
+def test_oracle_solver_errors(monkeypatch):
+    # a solver failure is a SolverFailure; a programming error surfaces as itself
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((64, 0)))
+
+    def bad_call(*args, **kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(M, "eigsh", no_convergence)
+    with pytest.raises(SolverFailure, match="no convergence"):
+        M.oracle_spectrum_circle_weighted(M.cosine_density(0.5), 64, 2)
+    monkeypatch.setattr(M, "eigsh", bad_call)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        M.oracle_spectrum_circle_weighted(M.cosine_density(0.5), 64, 2)
 
 
 def test_oracle_grid_guard():

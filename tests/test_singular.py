@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from lapeig import harness as H
+from lapeig import kernels as K
 from lapeig import singular as S
 from lapeig.errors import LevelTooDeep, QuadratureNotConverged
 
@@ -64,7 +65,7 @@ def test_sensitivity_constant_function():
 def test_sensitivity_midpoint_taylor_limit():
     # at a face midpoint the ball average approaches (sigma/2) times the
     # Laplacian value, and each eps halving shrinks the defect at least 2x
-    sigma = S.sigma_indicator(2)
+    sigma = K.sigma_eta(K.indicator_kernel(), 2)
     h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
     z0 = (math.pi / 4.0, 0.0)
     target = 0.5 * sigma * (math.pi / 2.0) ** 2 * math.sin(math.pi / 4.0)
@@ -79,7 +80,7 @@ def test_sensitivity_midpoint_taylor_limit():
 
 def test_sensitivity_near_corner_defect_persists():
     # within eps of a corner the defect does not fade; it grows like 1/eps
-    sigma = S.sigma_indicator(2)
+    sigma = K.sigma_eta(K.indicator_kernel(), 2)
     h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
     devs = []
     for eps in CFG.eps_grid:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,26 +133,53 @@ def test_normalized_equals_symmetric_similarity():
 
 
 @pytest.mark.parametrize("name", ["circle", "sphere", "square"])
-def test_normalized_matrix_equals_diagonal_products(name, monkeypatch):
-    # the in-place row and column scaling rounds the same products as
-    # D^(-1/2) @ L @ D^(-1/2) with sparse diagonal matrices, bit for bit
+def test_operator_matvec_equals_laplacian_products(name, monkeypatch):
+    # the operator both modes hand to Lanczos, built on K alone, gives L x and
+    # D^(-1/2) L D^(-1/2) x to rounding, with K's rows whole and split
     model = M.make_manifold(name)
-    cloud = M.sample_iid(model, 1024, 4)
     kernel = K.triangular_kernel(1.2)
-    g = G.build_graph(cloud, kernel, G.epsilon_schedule(1024, model.m))
-    seen = []
-    solve = S._smallest_eigenpairs
-    monkeypatch.setattr(S, "_smallest_eigenpairs",
-                        lambda mat, count: seen.append(mat) or solve(mat, count))
-    spec = S.normalized_spectrum(g, 3, kernel, model.m)
+    g = G.build_graph(M.sample_iid(model, 1024, 4), kernel, G.epsilon_schedule(1024, model.m))
     inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
-    ref = (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr()
-    (sym,) = seen
-    for got, want in ((sym.indptr, ref.indptr), (sym.indices, ref.indices),
-                      (sym.data, ref.data)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    assert np.array_equal(spec.values, solve(ref, 4)[0])
+    refs = (g.laplacian(), (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr())
+    x = np.random.default_rng(2).standard_normal(g.n)
+    products = []
+    real_eigsh = S.eigsh
+
+    def recording(op, *args, **kwargs):
+        products.append(op @ x)
+        return real_eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(S, "eigsh", recording)
+    monkeypatch.setattr(S, "MATVEC_BLOCK_NNZ", 1000)
+    seen = _record_blocks(monkeypatch)
+    for cores in (1, 3):
+        monkeypatch.setattr(S, "_CORES", cores)
+        S.unnormalized_spectrum(g, 3)
+        S.normalized_spectrum(g, 3, kernel, model.m)
+    assert {blocks for _, blocks in seen} == {1, 3}
+    whole, split = products[:2], products[2:]
+    for got, got_split, ref in zip(whole, split, refs):
+        assert np.array_equal(got, got_split)
+        # each entry within rounding of its row's absolute sum
+        bound = 1e-13 * (abs(ref) @ np.abs(x))
+        assert np.all(np.abs(got - ref @ x) <= bound)
+
+
+@pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
+def test_solve_holds_no_copy_of_k(mode):
+    # the solve allocates ARPACK's workspace and n-length vectors, nothing the
+    # size of K: no copy of L, and no per-entry scale factors
+    g = G.build_graph(M.sample_iid(M.SquareBoundary(), 4096, 3), IND,
+                      G.epsilon_schedule(4096, 1))
+    kmat = g.kernel_matrix
+    k_bytes = kmat.data.nbytes + kmat.indices.nbytes + kmat.indptr.nbytes
+    tracemalloc.start()
+    try:
+        S.graph_spectrum(g, 4, mode, IND, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * k_bytes
 
 
 def test_exactly_one_near_zero_eigenvalue():
@@ -461,7 +489,7 @@ def test_large_residual_becomes_solver_failure(monkeypatch):
 
     def perturbed_eigsh(mat, *args, **kwargs):
         vals, vecs = real_eigsh(mat, *args, **kwargs)
-        return vals + 1e-6 * mat.diagonal().max(), vecs
+        return vals + 1e-6 * 2.0 * g.degrees.max(), vecs
 
     monkeypatch.setattr(S, "eigsh", perturbed_eigsh)
     with pytest.raises(SolverFailure, match="residual"):
