@@ -106,9 +106,12 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     if (kmat != kmat.T).nnz:
         raise LapeigError("graph kernel matrix K is not symmetric")
     eps, m = obj["eps"], obj["m"]
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+    # JSON true and false load as bool, a subclass of int: refuse them as numbers
+    if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and math.isfinite(eps)
+                                     and eps > 0):
         raise LapeigError(f"graph eps must be a finite positive number, got {eps!r}")
-    if not (isinstance(m, (int, float)) and m >= 1 and float(m).is_integer()):
+    if isinstance(m, bool) or not (isinstance(m, (int, float)) and m >= 1
+                                   and float(m).is_integer()):
         raise LapeigError(f"graph m must be an integer >= 1, got {m!r}")
     degrees = np.asarray(kmat.sum(axis=1)).ravel()
     graph = NeighborhoodGraph(n=n, eps=float(eps), kernel_id=obj["kernel"],

@@ -3,10 +3,15 @@
 The interpolation operator averages sample values with the tail-integral
 weights psi(d/eps), using the intrinsic distance (the graph deliberately
 uses the ambient one; the mismatch is part of the method).  The weights
-are a sparse matrix: a k-d tree on the embedded points finds the pairs
-whose chord is within the kernel's support times eps, and only their
-intrinsic distances are computed.  Where the local mass vanishes the
-operator is undefined and raises, rather than inventing a default value.
+are sparse: a k-d tree on the embedded points finds the pairs whose chord
+is within the kernel's support times eps, and only their intrinsic
+distances are computed.  They are built and reduced block by block: the
+queries are cut into contiguous blocks of at most PSI_BLOCK_PAIRS
+candidate pairs (one query at least), and each block's rows are summed
+and dropped before the next is built.  Memory is thus bounded by that
+constant, not by queries times neighbours, and every row sum is the one
+the whole matrix gives.  Where the local mass vanishes the operator is
+undefined and raises, rather than inventing a default value.
 
 The transport map sends each quadrature node to its intrinsically nearest
 sample.  It too searches a k-d tree, built on the distinct samples: the
@@ -32,6 +37,8 @@ from .manifolds import PointCloud
 
 # node-by-candidate entries per slice of the transport search
 TRANSPORT_BLOCK_ELEMENTS = 2_000_000
+# candidate (query, sample) pairs per block of interpolation weights
+PSI_BLOCK_PAIRS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,18 @@ def restrict(f, cloud: PointCloud) -> np.ndarray:
     return vals
 
 
-def _psi_weights(ctx: InterpolationContext, x) -> sparse.csr_matrix:
-    """psi(d(x, x_i)/eps) for each query (row) and sample (column), as CSR.
+def _psi_weights(ctx: InterpolationContext, x):
+    """psi(d(x, x_i)/eps) for each query (row) and sample (column), yielded
+    as CSR blocks of contiguous query rows, in order.
 
     Candidates are the pairs whose chord is within support * eps; the chord
     never exceeds the intrinsic distance, so no nonzero weight is missed.
-    Only the nonzero weights are stored.
+    Only the nonzero weights are stored.  A ball count per query cuts the
+    queries into blocks of at most PSI_BLOCK_PAIRS candidates (one query
+    at least); the counts only place the cuts, and each block finds its own
+    pairs, so a block holds exactly the rows the whole matrix would.
     """
-    model = ctx.cloud.model
+    model, params, n = ctx.cloud.model, ctx.cloud.params, ctx.cloud.n
     if model.m == 1:
         queries = np.atleast_1d(np.asarray(x, dtype=float))
     else:
@@ -72,25 +83,43 @@ def _psi_weights(ctx: InterpolationContext, x) -> sparse.csr_matrix:
     # the margin keeps pairs whose chord equals their intrinsic distance
     # (along a face of the square, say) but rounds a few ulps above it
     radius = ctx.kernel.support * ctx.eps * (1.0 + 1e-12)
-    pairs = cKDTree(model.embed(queries)).sparse_distance_matrix(
-        cKDTree(model.embed(ctx.cloud.params)), radius, output_type="ndarray")
-    rows, cols = pairs["i"], pairs["j"]
-    dists = model.pair_distances(queries[rows], ctx.cloud.params[cols])
-    w = ctx.kernel.psi(dists / ctx.eps)
-    keep = w > 0.0
-    return sparse.csr_matrix((w[keep], (rows[keep], cols[keep])),
-                             shape=(len(queries), ctx.cloud.n))
+    points = model.embed(queries)
+    samples = cKDTree(model.embed(params))
+    ends = np.cumsum(samples.query_ball_point(points, radius, return_length=True))
+    lo = 0
+    while lo < len(queries):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + PSI_BLOCK_PAIRS, side="right")))
+        pairs = cKDTree(points[lo:hi]).sparse_distance_matrix(
+            samples, radius, output_type="ndarray")
+        # row-major order: the kept pairs are then the block's CSR entries,
+        # columns ascending in each row, with no COO sort
+        order = np.argsort(pairs["i"] * n + pairs["j"])
+        rows, cols = pairs["i"][order], pairs["j"][order]
+        dists = model.pair_distances(queries[lo:hi][rows], params[cols])
+        w = ctx.kernel.psi(dists / ctx.eps)
+        keep = w > 0.0
+        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=hi - lo), out=indptr[1:])
+        yield sparse.csr_matrix((w[keep], cols[keep], indptr), shape=(hi - lo, n))
+        lo = hi
 
 
-def _mass(w: sparse.csr_matrix) -> np.ndarray:
-    """Row sums of the weights, by the same reduction as the numerator of lambda_eps."""
-    return w @ np.ones(w.shape[1])
+def _row_sums(ctx: InterpolationContext, x, vectors) -> list[np.ndarray]:
+    """w @ v for each v in vectors, where w holds the psi weights of the
+    queries x; reduced block by block, so w is never whole."""
+    sums = [[] for _ in vectors]
+    for w in _psi_weights(ctx, x):
+        for out, v in zip(sums, vectors):
+            out.append(w @ v)
+    return [np.concatenate(out) if out else np.empty(0) for out in sums]
 
 
 def theta_eps(ctx: InterpolationContext, x) -> np.ndarray:
     """Local interpolation mass (1/n) sum_i psi(d(x, x_i)/eps), one entry per
     query point (a single point gives one entry); zero is legal."""
-    return _mass(_psi_weights(ctx, x)) / ctx.cloud.n
+    (mass,) = _row_sums(ctx, x, [np.ones(ctx.cloud.n)])
+    return mass / ctx.cloud.n
 
 
 def lambda_eps(ctx: InterpolationContext, u, x) -> np.ndarray:
@@ -104,13 +133,12 @@ def lambda_eps(ctx: InterpolationContext, u, x) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (ctx.cloud.n,):
         raise ValueError("u must have one entry per sample point")
-    w = _psi_weights(ctx, x)
-    mass = _mass(w)
+    total, mass = _row_sums(ctx, x, [u, np.ones(ctx.cloud.n)])
     if np.any(mass <= 0.0):
         bad = int(np.nonzero(mass <= 0.0)[0][0])
         raise UndefinedAtPoint(
             f"no sample within eps of query point index {bad}; theta_eps = 0")
-    return (w @ u) / mass
+    return total / mass
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ LANCZOS_MAXITER = 500
 # stored entries per row block of a split Lanczos matvec, at least; on a
 # 2-core Xeon two blocks lost to one at 305k entries and won 1.2-1.9x from 340k
 MATVEC_BLOCK_NNZ = 200_000
+# points per half-turn of the sphere grid that estimates a comparison supremum
+GRID_DENSITY = 256
 
 SOLVER_DENSE = "dense"
 SOLVER_LANCZOS = "lanczos"
@@ -402,7 +404,7 @@ def _rayleigh_gap_objective(num_a, den_a, num_b, den_b):
     return obj
 
 
-def _excess_supremum(basis, mapping, form_a, inner_a, form_b, inner_b, density: int):
+def _excess_supremum(basis, mapping, form_a, inner_a, form_b, inner_b):
     """Gridded sup over unit c of R_a(mapping basis c) - R_b(basis c), and its slack.
 
     R_a and R_b are the Rayleigh quotients of (form_a, inner_a) and
@@ -411,7 +413,7 @@ def _excess_supremum(basis, mapping, form_a, inner_a, form_b, inner_b, density: 
     mapped = mapping @ basis
     objective = _rayleigh_gap_objective(mapped.T @ form_a @ mapped, mapped.T @ inner_a @ mapped,
                                         basis.T @ form_b @ basis, basis.T @ inner_b @ basis)
-    return _grid_supremum(objective, basis.shape[1], density)
+    return _grid_supremum(objective, basis.shape[1], GRID_DENSITY)
 
 
 @dataclass(frozen=True)
@@ -424,8 +426,7 @@ class ComparisonCheck:
     passed: bool
 
 
-def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int,
-                                grid_density: int = 256) -> ComparisonCheck:
+def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int) -> ComparisonCheck:
     """Check the minimax transfer bound between two quadratic forms.
 
     With E the gridded supremum, over the unit sphere of the span of the
@@ -439,7 +440,7 @@ def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int,
                                   for a in (d1, inner1, d2, inner2, q1))
     vals1, vecs1 = form_eigensystem(d1, inner1)
     vals2, _ = form_eigensystem(d2, inner2)
-    e_sup, modulus = _excess_supremum(vecs1[:, :k], q1, d2, inner2, d1, inner1, grid_density)
+    e_sup, modulus = _excess_supremum(vecs1[:, :k], q1, d2, inner2, d1, inner1)
     slack = modulus + 1e-9 * max(1.0, abs(e_sup))
     margins = vals1[:k] + e_sup + slack - vals2[:k]
     return ComparisonCheck(e_sup=e_sup, slack=slack, values_domain=vals1[:k],
@@ -447,8 +448,7 @@ def eigenvalue_comparison_check(d1, inner1, d2, inner2, q1, k: int,
                            passed=bool(np.all(margins >= 0.0)))
 
 
-def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2,
-                           grid_density: int = 256) -> AlignmentReport:
+def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2) -> AlignmentReport:
     """Quantities controlling how the second eigenvector u_2 transfers to f_2.
 
     u_j and f_j are the inner-orthonormal eigenvectors of (d1, inner1) and
@@ -473,10 +473,10 @@ def eigenvector_comparison(d1, inner1, d2, inner2, q1, q2,
     mapped = q1 @ u2
 
     # E1 over span{f_1, f_2, f_3} and over q1 u_2; E2 over span{u_1, u_2, u_3}
-    e1_a, mod1_a = _excess_supremum(vecs2[:, :3], q2, d1, inner1, d2, inner2, grid_density)
-    e1_b, mod1_b = _excess_supremum(mapped[:, None], q2, d1, inner1, d2, inner2, grid_density)
+    e1_a, mod1_a = _excess_supremum(vecs2[:, :3], q2, d1, inner1, d2, inner2)
+    e1_b, mod1_b = _excess_supremum(mapped[:, None], q2, d1, inner1, d2, inner2)
     e1, mod1 = max(e1_a, e1_b), max(mod1_a, mod1_b)
-    e2, mod2 = _excess_supremum(vecs1[:, :3], q1, d2, inner2, d1, inner1, grid_density)
+    e2, mod2 = _excess_supremum(vecs1[:, :3], q1, d2, inner2, d1, inner1)
 
     # E3: relative roundtrip defect; E4: relative norm distortion, both at u_2
     norm_sq = u2 @ inner1 @ u2

@@ -137,7 +137,8 @@ def test_criterion_08_interpolation():
     _report("08 interpolation", f"max defect={worst:.4f} <= eps={eps:.4f}")
 
 
-def test_criterion_09_form_comparison_suite():
+def test_criterion_09_form_comparison_suite(monkeypatch):
+    monkeypatch.setattr(S, "GRID_DENSITY", 128)
     t0 = time.time()
     rng = np.random.default_rng(MASTER_SEED)
 
@@ -174,7 +175,7 @@ def test_criterion_09_form_comparison_suite():
         k = int(rng.integers(1, 4))
         chk = S.eigenvalue_comparison_check(
             rand_psd(n), rand_spd(n), rand_psd(n), rand_spd(n),
-            rng.standard_normal((n, n)), k, grid_density=128)
+            rng.standard_normal((n, n)), k)
         if not chk.passed:
             violations += 1
 
@@ -187,7 +188,7 @@ def test_criterion_09_form_comparison_suite():
         q1 = np.eye(n) + 0.005 * rng.standard_normal((n, n))
         try:
             rep = S.eigenvector_comparison(d1, np.eye(n), d2, inner2, q1,
-                                           np.linalg.inv(q1), grid_density=128)
+                                           np.linalg.inv(q1))
         except (GapViolation, FExceedsOne):
             continue
         block_checks += 1

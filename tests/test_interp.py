@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from lapeig import graph as G
@@ -114,21 +115,91 @@ KERNELS = [K.indicator_kernel(), K.triangular_kernel(1.2), K.truncated_gaussian_
 
 
 @pytest.mark.parametrize("name", ["circle", "square", "torus", "sphere", "singular"])
-def test_sparse_weights_equal_dense(name):
+def test_sparse_weights_equal_dense(name, monkeypatch):
     # the neighbour search keeps every nonzero weight of the dense matrix,
-    # bit for bit, and stores nothing else
+    # bit for bit, and stores nothing else; blocks of 1 candidate pair (one
+    # query each), a few pairs or the default budget assemble to the same
+    # matrix, and give lambda and theta the same bytes
     model = M.make_manifold(name)
     cloud = M.sample_iid(model, 120, 4)
     queries = M.sample_iid(model, 25, 5).params
+    u = np.cos(3.0 * np.arange(cloud.n))
     eps = 0.4 if model.m == 1 else 0.9
     dists = model.cross_distances(queries, cloud.params)
+    budgets = (1, 40, I.PSI_BLOCK_PAIRS)
     for kernel in KERNELS:
         ctx = I.InterpolationContext(cloud=cloud, kernel=kernel, eps=eps)
-        w = I._psi_weights(ctx, queries)
         dense = kernel.psi(dists / eps)
-        assert np.count_nonzero(dense) > 0
-        assert w.nnz == np.count_nonzero(dense)
-        assert np.array_equal(w.toarray(), dense)
+        outputs = set()
+        for budget in budgets:
+            monkeypatch.setattr(I, "PSI_BLOCK_PAIRS", budget)
+            blocks = list(I._psi_weights(ctx, queries))
+            if budget == 1:
+                assert len(blocks) == len(queries)
+            w = sparse.vstack(blocks, format="csr")
+            assert np.count_nonzero(dense) > 0
+            assert w.nnz == np.count_nonzero(dense)
+            assert np.array_equal(w.toarray(), dense)
+            outputs.add((I.lambda_eps(ctx, u, queries).tobytes(),
+                         I.theta_eps(ctx, queries).tobytes()))
+        assert len(outputs) == 1
+
+
+def test_block_smaller_than_one_query(monkeypatch):
+    # 300 samples within 1e-3 of one point: a query there has 300 candidates,
+    # far over a budget of 30, and is a block of its own; the queries around
+    # it, with about 13 candidates each, share blocks
+    circle = M.UnitCircle()
+    params = np.concatenate([0.3 + np.linspace(0.0, 1e-3, 300),
+                             M.sample_iid(circle, 200, 8).params])
+    ctx = I.InterpolationContext(cloud=cloud_at(circle, params), kernel=IND, eps=0.2)
+    queries = np.array([2.0, 2.01, 0.3, 2.02, 2.03, 2.04])
+    u = np.sin(7.0 * params)
+    want = I.lambda_eps(ctx, u, queries)
+    monkeypatch.setattr(I, "PSI_BLOCK_PAIRS", 30)
+    sizes = [w.shape[0] for w in I._psi_weights(ctx, queries)]
+    ends = np.cumsum(sizes).tolist()
+    assert ends[-1] == len(queries) and 2 in ends and 3 in ends
+    assert max(sizes) > 1
+    assert I.lambda_eps(ctx, u, queries).tobytes() == want.tobytes()
+    dense = IND.psi(circle.cross_distances(queries, params) / ctx.eps)
+    assert np.allclose(want, (dense @ u) / dense.sum(axis=1), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("budget", [1, 3, None])
+def test_blocks_keep_the_global_query_index(budget, monkeypatch):
+    # samples on the upper half circle only: queries 5 and 7 see none, and
+    # the error names the first of them in the whole query array, whichever
+    # block it falls in
+    circle = M.UnitCircle()
+    cloud = cloud_at(circle, np.linspace(0.1, 3.0, 200))
+    ctx = I.InterpolationContext(cloud=cloud, kernel=IND, eps=0.1)
+    queries = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 4.5, 2.6, 5.0, 0.7])
+    if budget is not None:
+        monkeypatch.setattr(I, "PSI_BLOCK_PAIRS", budget)
+    with pytest.raises(UndefinedAtPoint, match="query point index 5;"):
+        I.lambda_eps(ctx, np.ones(200), queries)
+    theta = I.theta_eps(ctx, queries)
+    assert np.flatnonzero(theta == 0.0).tolist() == [5, 7]
+    empty = I.lambda_eps(ctx, np.ones(200), np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
+    assert I.theta_eps(ctx, np.array([])).shape == (0,)
+
+
+def test_lambda_memory_is_bounded_by_the_block():
+    # 8192 queries with about 270 candidates each: built whole, the pairs
+    # and their temporaries peaked at 135 MB traced; in blocks of
+    # PSI_BLOCK_PAIRS the peak is about 2 MB, whatever the number of queries
+    ctx = circle_context(8192, 3)
+    u = I.restrict(np.sin, ctx.cloud)
+    queries = np.random.default_rng(3).uniform(0.0, TWO_PI, 8192)
+    tracemalloc.start()
+    try:
+        I.lambda_eps(ctx, u, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_lambda_stretched_kernel():

@@ -314,26 +314,29 @@ def test_eigenvalue_comparison_uniform_shift():
     assert np.min(chk.margins) == pytest.approx(chk.slack, abs=1e-9)
 
 
-def test_eigenvalue_comparison_random_pairs():
+def test_eigenvalue_comparison_random_pairs(monkeypatch):
+    monkeypatch.setattr(S, "GRID_DENSITY", 128)
     rng = np.random.default_rng(17)
     for _ in range(30):
         chk = S.eigenvalue_comparison_check(
             rand_psd(6, rng), rand_spd(6, rng), rand_psd(6, rng), rand_spd(6, rng),
-            rng.standard_normal((6, 6)), 2, grid_density=128)
+            rng.standard_normal((6, 6)), 2)
         assert chk.passed
 
 
-def test_eigenvector_comparison_isometry():
+def test_eigenvector_comparison_isometry(monkeypatch):
+    monkeypatch.setattr(S, "GRID_DENSITY", 128)
     form = np.diag([0.5, 1.0, 2.0, 4.0, 6.0, 9.0])
     eye = np.eye(6)
-    rep = S.eigenvector_comparison(form, eye, form, eye, eye, eye, 128)
+    rep = S.eigenvector_comparison(form, eye, form, eye, eye, eye)
     assert rep.e1 == rep.e2 == rep.e3 == rep.e4 == 0.0
     assert rep.f_bound == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(rep.residuals, 0.0, atol=1e-12)
     assert rep.conclusion_ok
 
 
-def test_eigenvector_comparison_perturbed():
+def test_eigenvector_comparison_perturbed(monkeypatch):
+    monkeypatch.setattr(S, "GRID_DENSITY", 128)
     rng = np.random.default_rng(23)
     checked = 0
     for _ in range(40):
@@ -346,7 +349,7 @@ def test_eigenvector_comparison_perturbed():
         q1 = np.eye(n) + 0.005 * rng.standard_normal((n, n))
         try:
             rep = S.eigenvector_comparison(d1, np.eye(n), d2, inner2, q1,
-                                           np.linalg.inv(q1), 128)
+                                           np.linalg.inv(q1))
         except (GapViolation, FExceedsOne):
             continue
         checked += 1
@@ -355,14 +358,15 @@ def test_eigenvector_comparison_perturbed():
     assert checked >= 20
 
 
-def test_eigenvector_comparison_guards():
+def test_eigenvector_comparison_guards(monkeypatch):
+    monkeypatch.setattr(S, "GRID_DENSITY", 64)
     form = np.diag([0.5, 1.0, 2.0, 4.0, 6.0, 9.0])
     eye = np.eye(6)
     rng = np.random.default_rng(4)
     # large perturbation makes the combined bound vacuous (or breaks the gap)
     rough = form + rand_psd(6, rng) * 5.0
     with pytest.raises((FExceedsOne, GapViolation)):
-        S.eigenvector_comparison(form, eye, rough, eye, np.eye(6), np.eye(6), 64)
+        S.eigenvector_comparison(form, eye, rough, eye, np.eye(6), np.eye(6))
 
 
 def test_span_too_large():
