@@ -71,6 +71,8 @@ def _cloud_from_json(obj: dict) -> PointCloud:
         raise LapeigError(f"a {model.kind} cloud of n={n} needs intrinsic ({n}, {model.m}) "
                           f"and ambient ({n}, {model.d}) arrays, got {params.shape} "
                           f"and {ambient.shape}")
+    if not (np.isfinite(params).all() and np.isfinite(ambient).all()):
+        raise LapeigError("cloud coordinates must be finite")
     if model.m == 1:
         params = params.ravel()
     return PointCloud(manifold_id=model.label, n=n, seed=_json_int(obj, "seed", 0, 2 ** 64),

@@ -21,6 +21,10 @@ class EmptyCloud(LapeigError):
     """Graph construction needs at least two points."""
 
 
+class NonFiniteCloud(LapeigError):
+    """A point cloud holds a NaN or infinite coordinate."""
+
+
 class DimensionMismatch(LapeigError):
     """Vector length does not match the graph size."""
 

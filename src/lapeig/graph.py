@@ -4,10 +4,11 @@ Edges carry weight eta(dist/eps) and vanish beyond ambient distance eps.
 The diagonal K_ii = eta(0) is kept; it cancels in L but enters D, and the
 normalized eigenproblem uses that D.
 
-Candidate pairs i < j come from a k-d tree (scipy's cKDTree) queried at a
-radius a hair above eps.  They are tested in blocks of PAIR_BLOCK pairs:
-the exact chord test `|x_i - x_j| <= eps` decides, so a pair at exactly
-eps is an edge.  The chord sums the squared coordinate differences in
+Candidate pairs i < j come from a k-d tree (scipy's cKDTree, with
+sliding-midpoint splits and full-width node boxes) queried at a radius a
+hair above eps.  They are tested in blocks of PAIR_BLOCK pairs: the exact
+chord test `|x_i - x_j| <= eps` decides, so a pair at exactly eps is an
+edge.  The chord sums the squared coordinate differences in
 coordinate order, one contiguous column at a time; for up to 7 ambient
 coordinates that is the sum np.linalg.norm forms, bit for bit (from 8 on,
 numpy sums pairwise and may differ in the last ulp).  The block's weights
@@ -16,12 +17,14 @@ come from the chord or from the model's intrinsic distance, taken through
 sample.  Only pairs with a positive weight are stored, as int32 indices,
 so every stored off-diagonal entry of K is positive.
 
-K is assembled in canonical CSR (sorted columns, no duplicates): the upper
-triangle with the diagonal goes through the one COO-to-CSR conversion and
-its per-row sort, and K is its sum with its O(nnz) transpose, one canonical
-CSR sum whose doubled diagonal is set back to eta(0).  The pair list and
-block temporaries are freed before the sum, so a build peaks near twice
-K's bytes.
+K is assembled in canonical CSR (sorted columns, no duplicates) with no
+sort: the upper triangle with the diagonal goes from COO to CSR by one
+counting pass, its rows in pair order.  scipy's CSR transpose emits sorted
+rows, so one O(nnz) transpose gives the canonical lower triangle, and a
+second, written back into the upper triangle's own arrays, sorts it.  K is
+their canonical CSR sum, whose doubled diagonal is set back to eta(0).  The
+pair list and block temporaries are freed before the sum, so a build peaks
+near twice K's bytes.
 
 Components are counted on K itself with scipy's csgraph: K is symmetric and
 its off-diagonal entries are positive, so its strongly connected components
@@ -36,10 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+# private to scipy: the kernels of coo_matrix.tocsr and of the CSR transpose,
+# called directly by _unsorted_csr and _sorted_halves alone
+from scipy.sparse._sparsetools import coo_tocsr, csr_tocsc
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DimensionMismatch, EmptyCloud
+from .errors import DimensionMismatch, EmptyCloud, NonFiniteCloud
 from .kernels import KernelProfile
 from .manifolds import PointCloud
 
@@ -71,13 +77,46 @@ class NeighborhoodGraph:
         return np.stack([coo.row, coo.col, coo.data], axis=-1)
 
 
+def _unsorted_csr(rows, cols, vals, n: int) -> sparse.csr_matrix:
+    """n x n CSR of triplets without duplicates, each row in input order.
+
+    This is the counting pass of scipy's `coo_matrix.tocsr` (its private
+    `coo_tocsr`, with the index dtype `tocsr` picks), without the per-row
+    sort of the `sum_duplicates` that follows it there.
+    """
+    nnz = len(vals)
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    coo_tocsr(n, n, nnz, rows.astype(idx, copy=False), cols.astype(idx, copy=False), vals,
+              indptr, indices, data)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _sorted_halves(u: sparse.csr_matrix) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """u with its rows sorted in place, and its transpose, both canonical CSR,
+    with no sort.
+
+    scipy's CSR transpose (`csr_tocsc`) emits every row sorted, so `u.T.tocsr()`
+    is canonical, and transposing it back into u's own arrays sorts u.  Reusing
+    those arrays allocates no third half: one more raised the resident peak
+    of a sphere and square sweep at n = 8192 from 234 to 251 MB (2-core x86
+    VM, glibc).
+    """
+    n = u.shape[0]
+    lower = u.T.tocsr()
+    csr_tocsc(n, n, lower.indptr, lower.indices, lower.data, u.indptr, u.indices, u.data)
+    return sparse.csr_matrix((u.data, u.indices, u.indptr), shape=u.shape), lower
+
+
 def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
                     metric: str, eta0: float) -> sparse.csr_matrix:
     """The diagonal eta(0) and the pairs i < j within chord eps that carry a
-    positive weight, as CSR.
+    positive weight, as CSR with unsorted rows.
 
-    The tree's pair list is freed before the COO-to-CSR conversion, and the
-    block temporaries die with this frame, before K is assembled.
+    The tree's pair list is freed before the COO-to-CSR pass, and the block
+    temporaries die with this frame, before K is assembled.
     """
     n = cloud.n
     # contiguous coordinate columns, their squared differences summed in order
@@ -85,8 +124,11 @@ def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
     if metric == METRIC_INTRINSIC:
         pair_distance = cloud.model.pair_distance_fn(cloud.params)
     # the tree rounds distances its own way and can drop a pair whose chord,
-    # as computed below, is exactly eps: query a hair wider, the chord decides
-    pairs = cKDTree(cloud.ambient).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
+    # as computed below, is exactly eps: query a hair wider, the chord decides.
+    # Sliding-midpoint splits and full-width node boxes build and query
+    # faster here than the median splits; the pair set within eps is the same
+    pairs = cKDTree(cloud.ambient, balanced_tree=False, compact_nodes=False).query_pairs(
+        eps * (1.0 + 1e-12), output_type="ndarray")
     # the diagonal, then the kept pairs, filled block by block
     rows = np.empty(n + len(pairs), dtype=np.int32)
     cols = np.empty_like(rows)
@@ -109,7 +151,7 @@ def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
         rows[end:stop], cols[end:stop], vals[end:stop] = ii[pos], jj[pos], w[pos]
         end = stop
     del pairs
-    return sparse.csr_matrix((vals[:end], (rows[:end], cols[:end])), shape=(n, n))
+    return _unsorted_csr(rows[:end], cols[:end], vals[:end], n)
 
 
 def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
@@ -128,19 +170,25 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
         raise ValueError(f"unknown metric {metric!r}")
     if metric == METRIC_INTRINSIC and cloud.model is None:
         raise ValueError("intrinsic metric needs a cloud with a manifold model")
+    # the tree refuses a NaN point untyped, and a NaN parameter gives every
+    # intrinsic distance from its point NaN, so weight 0: a lone self-loop
+    if not np.isfinite(cloud.ambient).all():
+        raise NonFiniteCloud("the cloud's ambient coordinates must be finite")
+    if metric == METRIC_INTRINSIC and not np.isfinite(cloud.params).all():
+        raise NonFiniteCloud("the cloud's intrinsic coordinates must be finite"
+                             " for the intrinsic metric")
 
     eta0 = float(kernel.eta(0.0))
     if not eta0 > 0.0:
         raise ValueError(f"kernel must be positive at 0, got eta(0) = {eta0!r}")
 
     n = cloud.n
-    # K = upper + upper^T entry for entry, except that the sum doubles the
-    # diagonal: row i of upper^T holds row i's entries at columns <= i, so
-    # K_ii is the last of them in row i of K, and is set back to eta(0).  Two
+    # K = upper + lower entry for entry, except that the sum doubles the
+    # diagonal: row i of lower holds row i's entries at columns <= i, so K_ii
+    # is the last of them in row i of K, and is set back to eta(0).  Two
     # full-size summands and no third matrix for the diagonal leave the
     # allocator less resident heap for the solve that follows
-    upper = _upper_triangle(cloud, kernel, eps, metric, eta0)
-    lower = upper.T.tocsr()
+    upper, lower = _sorted_halves(_upper_triangle(cloud, kernel, eps, metric, eta0))
     kmat = upper + lower
     del upper
     kmat.data[kmat.indptr[:-1] + np.diff(lower.indptr) - 1] = eta0

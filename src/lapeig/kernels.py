@@ -38,7 +38,9 @@ class KernelProfile:
 
     ``kind`` is one of "indicator", "triangular", "gauss" or "custom".
     Built-in profiles have support [0, 1]; the value at the support edge is
-    the profile value (the cutoff is strict only beyond it).
+    the profile value (the cutoff is strict only beyond it).  A custom
+    profile's tail integral psi comes from ``psi_fn`` where it has a closed
+    form (a stretched profile), and from adaptive quadrature otherwise.
     """
 
     kind: str
@@ -47,6 +49,7 @@ class KernelProfile:
     lipschitz_bound: float = 0.0
     profile_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     label: str = ""
+    psi_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def eta(self, t) -> np.ndarray:
         """Evaluate eta(t) elementwise; exactly zero beyond the support."""
@@ -76,6 +79,8 @@ class KernelProfile:
             out = np.where(tc < te, g(te) - g(np.minimum(tc, te)), 0.0)
         elif self.kind == "gauss":
             out = 0.5 * (np.exp(-np.square(tc)) - math.exp(-1.0))
+        elif self.kind == "custom" and self.psi_fn is not None:
+            out = self.psi_fn(tc)
         elif self.kind == "custom":
             flat = tc.ravel()
             vals = np.empty_like(flat)
@@ -92,7 +97,11 @@ class KernelProfile:
         return np.asarray(np.maximum(out, 0.0))
 
     def stretched(self, factor: float) -> "KernelProfile":
-        """Profile t -> eta(factor * t), with support scaled by 1/factor."""
+        """Profile t -> eta(factor * t), with support scaled by 1/factor.
+
+        Its psi is this profile's, in closed form: substituting u = factor * s,
+        int_t^inf eta(factor * s) s ds = psi(factor * t) / factor^2.
+        """
         base = self
         return KernelProfile(
             kind="custom",
@@ -100,6 +109,7 @@ class KernelProfile:
             lipschitz_bound=self.lipschitz_bound * factor,
             profile_fn=lambda t: base.eta(factor * t),
             label=f"{self.label or self.kind}*stretched:{factor:g}",
+            psi_fn=lambda t: base.psi(factor * t) / factor ** 2,
         )
 
 

@@ -170,8 +170,16 @@ def test_validation_exit_code(tmp_path):
     # into twice the chart points), 3-D circle points
     params2 = [[t[0], t[0]] for t in cloud["params_intrinsic"]]
     points3 = [x + [0.0] for x in cloud["points_ambient"]]
+    # a NaN or infinite coordinate, which JSON writes as NaN or Infinity; a
+    # NaN parameter would leave its node a lone self-loop
+    non_finite = []
+    for key, bad in (("params_intrinsic", math.nan), ("points_ambient", math.nan),
+                     ("points_ambient", -math.inf)):
+        coords = [list(x) for x in cloud[key]]
+        coords[5][0] = bad
+        non_finite.append(dict(cloud, **{key: coords}))
     # also n and seed that are null, fractional, text or out of range
-    for bad in (dict(cloud, n=60), dict(cloud, params_intrinsic=params2),
+    for bad in (*non_finite, dict(cloud, n=60), dict(cloud, params_intrinsic=params2),
                 dict(cloud, points_ambient=points3), dict(cloud, n=None),
                 dict(cloud, n=50.5), dict(cloud, n="50"), dict(cloud, seed=None),
                 dict(cloud, seed=1.5), dict(cloud, seed="1"), dict(cloud, seed=-1),

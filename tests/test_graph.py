@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.spatial import cKDTree
 from lapeig import graph as G
 from lapeig import kernels as K
 from lapeig import manifolds as M
-from lapeig.errors import DimensionMismatch, EmptyCloud
+from lapeig.errors import DimensionMismatch, EmptyCloud, NonFiniteCloud
 
 IND = K.indicator_kernel()
 
@@ -123,14 +124,45 @@ def test_blockwise_build_equals_coo_reference(name, metric, monkeypatch):
         assert_same_graph(g, *coo_reference(cloud, kernel, eps, metric))
 
 
+def degenerate_clouds():
+    rng = np.random.default_rng(5)
+    ulp = np.spacing(0.5)
+    repeated = np.repeat(rng.random((6, 3)), 70, axis=0)
+    flat = rng.random((500, 3))
+    flat[:, 1] = 0.25
+    return {
+        # every pair is an edge, at chord 0
+        "all equal": (np.full((300, 2), 0.3), 0.1),
+        # 6 distinct points, 70 copies each, shuffled
+        "repeated": (rng.permutation(repeated), 0.6),
+        # points a few ulps apart, eps a whole number of ulps
+        "ulp apart": (0.5 + ulp * rng.integers(0, 40, size=(400, 3)), 30 * ulp),
+        # zero extent in the middle coordinate
+        "flat": (flat, 0.3),
+    }
+
+
+@pytest.mark.parametrize("case", ["all equal", "repeated", "ulp apart", "flat"])
+def test_degenerate_clouds_equal_coo_reference(case, monkeypatch):
+    # the sliding-midpoint tree meets equal and ulp-apart coordinates here;
+    # the reference queries scipy's default median-split tree
+    monkeypatch.setattr(G, "PAIR_BLOCK", 97)
+    pts, eps = degenerate_clouds()[case]
+    cloud = M.ambient_cloud(pts)
+    for kernel in (IND, K.triangular_kernel(1.2)):
+        g = G.build_graph(cloud, kernel, eps)
+        assert (g.kernel_matrix.nnz - cloud.n) // 2 > 4 * G.PAIR_BLOCK
+        assert_same_graph(g, *coo_reference(cloud, kernel, eps))
+
+
 def test_build_and_component_count_memory():
     # square boundary at n = 4096 (about 270 entries per row) and the
     # benchmark's intrinsic singular-surface build at n = 8192 (about 60):
     # both hold more pairs than one block.  Assembling through a two-sided
     # int64 COO peaks at about 5x the CSR's bytes.  Measured (seed 3): square
-    # 2.01x, singular 2.04x; with the per-pair chord, two COO-to-CSR sorts
-    # and the block temporaries alive at the last sum, 2.08x and 2.86x.  The
-    # component count needs no copy of K
+    # 2.01x, singular 2.04x.  Keeping the unsorted upper triangle alive
+    # through the sum measured 2.52x and 2.57x; one COO of both triangles and
+    # one transpose, 3.33x and 3.33x.  The component count needs no copy of K
     for name, n, scale_c, metric in (("square", 4096, 1.0, "ambient"),
                                      ("singular", 8192, 2.0, "intrinsic")):
         model = M.make_manifold(name)
@@ -148,7 +180,7 @@ def test_build_and_component_count_memory():
             tracemalloc.stop()
         k = g.kernel_matrix
         assert (k.nnz - n) // 2 > G.PAIR_BLOCK
-        assert build_peak <= 3.0 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
+        assert build_peak <= 2.2 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
         assert count_extra < 1e6
         assert report.components == 1
         assert_same_graph(g, *coo_reference(cloud, IND, eps, metric))
@@ -305,5 +337,19 @@ def test_errors():
     with pytest.raises(ValueError):
         G.build_graph(M.ambient_cloud(np.zeros((3, 2))),
                       K.custom_kernel(lambda t: 0.0 * t, 0.0), 0.5)
+    # a NaN or infinite coordinate: ambient for either metric, a parameter
+    # for the intrinsic one, which would leave its node a lone self-loop
+    for metric in ("ambient", "intrinsic"):
+        for bad in (math.nan, math.inf):
+            pts = circle.ambient.copy()
+            pts[5, 1] = bad
+            with pytest.raises(NonFiniteCloud):
+                G.build_graph(replace(circle, ambient=pts), IND, 0.5, metric=metric)
+    params = circle.params.copy()
+    params[5] = math.nan
+    with pytest.raises(NonFiniteCloud):
+        G.build_graph(replace(circle, params=params), IND, 0.5, metric="intrinsic")
+    # the ambient metric reads no parameter
+    G.build_graph(replace(circle, params=params), IND, 0.5)
     with pytest.raises(DimensionMismatch):
         G.quadratic_form(clique3(), np.ones(5))

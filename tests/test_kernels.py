@@ -37,7 +37,7 @@ def test_psi_indicator_values():
 
 def test_psi_custom_on_2d_array():
     # a custom profile integrates element by element, whatever the array's shape
-    kernel = K.indicator_kernel().stretched(0.5)
+    kernel = K.custom_kernel(np.ones_like, 0.0, support=2.0)
     t = np.array([[0.1, 0.7], [1.3, 2.5]])
     out = kernel.psi(t)
     assert out.shape == (2, 2)
@@ -49,6 +49,22 @@ def test_psi_custom_on_2d_array():
 def test_psi_below_half_eta(kernel):
     t = np.linspace(0.0, 1.0, 513)
     assert np.all(kernel.psi(t) <= kernel.eta(t) / 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
+@pytest.mark.parametrize("factor", [0.5, 0.75, 1.5])
+def test_stretched_psi_closed_form_matches_quadrature(kernel, factor):
+    # psi(factor * t) / factor^2 against the quadrature every custom profile
+    # without a closed form takes, on a grid past the stretched support
+    from scipy.integrate import quad
+    stretched = kernel.stretched(factor)
+    assert stretched.psi_fn is not None
+    t = np.linspace(0.0, 1.2 * stretched.support, 61)
+    ref = [quad(lambda s: float(stretched.eta(s)) * s, v, stretched.support,
+                epsabs=1e-13, limit=200)[0] if v < stretched.support else 0.0 for v in t]
+    assert np.max(np.abs(stretched.psi(t) - ref)) <= 1e-10
+    # and it keeps the argument's shape, as the quadrature does
+    assert stretched.psi(t.reshape(1, -1)).shape == (1, 61)
 
 
 @pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
