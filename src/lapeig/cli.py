@@ -1,7 +1,8 @@
 """Command-line interface: lap-eig <subcommand>.
 
 Exit codes: 0 on success, 2 on a validation error (a graph with more than
-one component among them), 3 on solver failure.
+one component, or one that does not fit in memory, among them), 3 on solver
+failure.
 File formats are plain JSON/CSV so downstream plotting stays decoupled.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from . import harness, singular
-from .errors import LapeigError, SolverFailure
+from .errors import GraphTooLarge, LapeigError, SolverFailure
 from .graph import NeighborhoodGraph, build_graph, eps_from_rule
 from .kernels import kernel_constants, parse_kernel
 from .manifolds import PointCloud, make_manifold, parse_density, sample_iid
@@ -101,12 +102,16 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
         raise LapeigError(f"graph triplet indices must be integers in [0, {n})")
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise LapeigError("graph weights must be finite and non-negative")
-    kmat = sparse.coo_matrix((weights, (idx[:, 0].astype(int), idx[:, 1].astype(int))),
-                             shape=(n, n)).tocsr()
-    # zero weights are no edges: the component count reads every stored entry
-    kmat.eliminate_zeros()
-    if (kmat != kmat.T).nnz:
-        raise LapeigError("graph kernel matrix K is not symmetric")
+    try:
+        kmat = sparse.coo_matrix((weights, (idx[:, 0].astype(int), idx[:, 1].astype(int))),
+                                 shape=(n, n)).tocsr()
+        # zero weights are no edges: the component count reads every stored entry
+        kmat.eliminate_zeros()
+        if (kmat != kmat.T).nnz:
+            raise LapeigError("graph kernel matrix K is not symmetric")
+        degrees = np.asarray(kmat.sum(axis=1)).ravel()
+    except MemoryError as exc:
+        raise GraphTooLarge(f"a graph of n={n} does not fit in memory: {exc}") from exc
     eps, m = obj["eps"], obj["m"]
     # JSON true and false load as bool, a subclass of int: refuse them as numbers
     if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and math.isfinite(eps)
@@ -115,7 +120,6 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     if isinstance(m, bool) or not (isinstance(m, (int, float)) and m >= 1
                                    and float(m).is_integer()):
         raise LapeigError(f"graph m must be an integer >= 1, got {m!r}")
-    degrees = np.asarray(kmat.sum(axis=1)).ravel()
     graph = NeighborhoodGraph(n=n, eps=float(eps), kernel_id=obj["kernel"],
                               metric=obj.get("metric", "ambient"),
                               kernel_matrix=kmat, degrees=degrees)

@@ -25,6 +25,10 @@ class NonFiniteCloud(LapeigError):
     """A point cloud holds a NaN or infinite coordinate."""
 
 
+class GraphTooLarge(LapeigError):
+    """The graph, or a step of its construction, does not fit in memory."""
+
+
 class DimensionMismatch(LapeigError):
     """Vector length does not match the graph size."""
 

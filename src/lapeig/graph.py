@@ -1,21 +1,23 @@
 """Epsilon-neighborhood graph: kernel matrix K, degrees D, Laplacian L = D - K.
 
-Edges carry weight eta(dist/eps) and vanish beyond ambient distance eps.
+Edges carry weight eta(dist/eps) and vanish beyond ambient distance
+support * eps, the reach of the kernel's support.
 The diagonal K_ii = eta(0) is kept; it cancels in L but enters D, and the
 normalized eigenproblem uses that D.
 
 Candidate pairs i < j come from a k-d tree (scipy's cKDTree, with
 sliding-midpoint splits and full-width node boxes) queried at a radius a
-hair above eps.  They are tested in blocks of PAIR_BLOCK pairs: the exact
-chord test `|x_i - x_j| <= eps` decides, so a pair at exactly eps is an
-edge.  The chord sums the squared coordinate differences in
-coordinate order, one contiguous column at a time; for up to 7 ambient
-coordinates that is the sum np.linalg.norm forms, bit for bit (from 8 on,
-numpy sums pairwise and may differ in the last ulp).  The block's weights
-come from the chord or from the model's intrinsic distance, taken through
-`pair_distance_fn`, which lets a model do its per-point work once per
-sample.  Only pairs with a positive weight are stored, as int32 indices,
-so every stored off-diagonal entry of K is positive.
+hair above the reach.  They are tested in blocks of PAIR_BLOCK pairs: the
+exact chord test `|x_i - x_j| <= support * eps` decides, so a pair at
+exactly the reach is an edge.  The chord sums the squared coordinate
+differences in coordinate order, one contiguous column at a time; for up
+to 7 ambient coordinates that is the sum np.linalg.norm forms, bit for bit
+(from 8 on, numpy sums pairwise and may differ in the last ulp).  The
+block's weights come from the chord or from the model's intrinsic
+distance, taken through `pair_distance_fn`, which lets a model do its
+per-point work once per sample.  Only pairs with a positive weight are
+stored, as int32 indices, so every stored off-diagonal entry of K is
+positive.
 
 K is assembled in canonical CSR (sorted columns, no duplicates) with no
 sort: the upper triangle with the diagonal goes from COO to CSR by one
@@ -45,7 +47,7 @@ from scipy.sparse._sparsetools import coo_tocsr, csr_tocsc
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DimensionMismatch, EmptyCloud, NonFiniteCloud
+from .errors import DimensionMismatch, EmptyCloud, GraphTooLarge, NonFiniteCloud
 from .kernels import KernelProfile
 from .manifolds import PointCloud
 
@@ -112,8 +114,8 @@ def _sorted_halves(u: sparse.csr_matrix) -> tuple[sparse.csr_matrix, sparse.csr_
 
 def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
                     metric: str, eta0: float) -> sparse.csr_matrix:
-    """The diagonal eta(0) and the pairs i < j within chord eps that carry a
-    positive weight, as CSR with unsorted rows.
+    """The diagonal eta(0) and the pairs i < j within chord support * eps that
+    carry a positive weight, as CSR with unsorted rows.
 
     The tree's pair list is freed before the COO-to-CSR pass, and the block
     temporaries die with this frame, before K is assembled.
@@ -123,12 +125,13 @@ def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
     coords = [np.ascontiguousarray(c) for c in cloud.ambient.T]
     if metric == METRIC_INTRINSIC:
         pair_distance = cloud.model.pair_distance_fn(cloud.params)
+    reach = kernel.support * eps
     # the tree rounds distances its own way and can drop a pair whose chord,
-    # as computed below, is exactly eps: query a hair wider, the chord decides.
-    # Sliding-midpoint splits and full-width node boxes build and query
-    # faster here than the median splits; the pair set within eps is the same
+    # as computed below, is exactly the reach: query a hair wider, the chord
+    # decides.  Sliding-midpoint splits and full-width node boxes build and
+    # query faster here than the median splits; the pair set is the same
     pairs = cKDTree(cloud.ambient, balanced_tree=False, compact_nodes=False).query_pairs(
-        eps * (1.0 + 1e-12), output_type="ndarray")
+        reach * (1.0 + 1e-12), output_type="ndarray")
     # the diagonal, then the kept pairs, filled block by block
     rows = np.empty(n + len(pairs), dtype=np.int32)
     cols = np.empty_like(rows)
@@ -142,7 +145,7 @@ def _upper_triangle(cloud: PointCloud, kernel: KernelProfile, eps: float,
         for c in coords[1:]:
             sq += (c[ii] - c[jj]) ** 2
         chord = np.sqrt(sq)
-        keep = chord <= eps
+        keep = chord <= reach
         ii, jj, chord = ii[keep], jj[keep], chord[keep]
         dist = chord if metric == METRIC_AMBIENT else pair_distance(ii, jj)
         w = np.asarray(kernel.eta(dist / eps), dtype=float)
@@ -159,8 +162,9 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
     """Assemble K, D for the cloud at scale eps.
 
     The edge test is always the ambient distance (weights vanish beyond
-    eps); with metric="intrinsic" surviving edges are weighted by the
-    Riemannian distance instead, which never increases the weight.
+    support * eps); with metric="intrinsic" surviving edges are weighted by
+    the Riemannian distance instead, which never increases the weight.  A
+    graph that does not fit in memory raises GraphTooLarge.
     """
     if cloud.n < 2:
         raise EmptyCloud("graph construction needs at least two points")
@@ -188,13 +192,18 @@ def build_graph(cloud: PointCloud, kernel: KernelProfile, eps: float,
     # is the last of them in row i of K, and is set back to eta(0).  Two
     # full-size summands and no third matrix for the diagonal leave the
     # allocator less resident heap for the solve that follows
-    upper, lower = _sorted_halves(_upper_triangle(cloud, kernel, eps, metric, eta0))
-    kmat = upper + lower
-    del upper
-    kmat.data[kmat.indptr[:-1] + np.diff(lower.indptr) - 1] = eta0
-    del lower
-    degrees = np.asarray(kmat.sum(axis=1)).ravel()
-    return NeighborhoodGraph(n=n, eps=float(eps), kernel_id=kernel.label or kernel.kind,
+    try:
+        upper, lower = _sorted_halves(_upper_triangle(cloud, kernel, eps, metric, eta0))
+        kmat = upper + lower
+        del upper
+        kmat.data[kmat.indptr[:-1] + np.diff(lower.indptr) - 1] = eta0
+        del lower
+        degrees = np.asarray(kmat.sum(axis=1)).ravel()
+    # numpy's and the k-d tree's failed allocations (std::bad_alloc) alike
+    except MemoryError as exc:
+        raise GraphTooLarge(f"the graph of {n} points at eps={eps!r} does not fit"
+                            f" in memory: {exc}") from exc
+    return NeighborhoodGraph(n=n, eps=float(eps), kernel_id=kernel.label,
                              metric=metric, kernel_matrix=kmat, degrees=degrees)
 
 

@@ -34,96 +34,80 @@ def ball_volume(k: int) -> float:
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """A radial profile eta with its support and Lipschitz certificate.
+    """A radial profile eta with its support, Lipschitz certificate and closed forms.
 
-    ``kind`` is one of "indicator", "triangular", "gauss" or "custom".
-    Built-in profiles have support [0, 1]; the value at the support edge is
-    the profile value (the cutoff is strict only beyond it).  A custom
-    profile's tail integral psi comes from ``psi_fn`` where it has a closed
-    form (a stretched profile), and from adaptive quadrature otherwise.
+    ``profile_fn`` gives eta on [0, support], as an array or a constant that
+    broadcasts; the value at the support edge is the profile value (the
+    cutoff is strict only beyond it).  ``psi_fn`` gives the tail integral
+    psi on [0, support] and ``moment_fn(p)`` the moment
+    int_0^support eta(t) t^p dt, where the profile has them in closed form;
+    adaptive quadrature stands in where it has not.  The label identifies
+    the profile: equality and hashing read label, support and Lipschitz
+    bound only.
     """
 
-    kind: str
-    slope: float = 0.0
-    support: float = 1.0
-    lipschitz_bound: float = 0.0
-    profile_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    label: str = ""
-    psi_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    label: str
+    support: float
+    lipschitz_bound: float
+    profile_fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    psi_fn: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
+    moment_fn: Callable[[int], float] | None = field(default=None, compare=False, repr=False)
 
     def eta(self, t) -> np.ndarray:
         """Evaluate eta(t) elementwise; exactly zero beyond the support."""
         t = np.asarray(t, dtype=float)
-        inside = t <= self.support
-        if self.kind == "indicator":
-            out = np.where(inside, 1.0, 0.0)
-        elif self.kind == "triangular":
-            out = np.where(inside, np.maximum(1.0 - self.slope * t, 0.0), 0.0)
-        elif self.kind == "gauss":
-            out = np.where(inside, np.exp(-np.square(t)), 0.0)
-        elif self.kind == "custom":
-            out = np.where(inside, self.profile_fn(t), 0.0)
-        else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        return out
+        return np.where(t <= self.support, self.profile_fn(t), 0.0)
 
     def psi(self, t) -> np.ndarray:
         """Tail integral psi(t) = int_t^inf eta(s) s ds, elementwise; zero beyond the support."""
-        t = np.asarray(t, dtype=float)
-        tc = np.minimum(np.maximum(t, 0.0), self.support)
-        if self.kind == "indicator":
-            out = 0.5 * (1.0 - np.square(tc))
-        elif self.kind == "triangular":
-            te = min(1.0, 1.0 / self.slope) if self.slope > 0 else 1.0
-            g = lambda s: 0.5 * s * s - self.slope * s ** 3 / 3.0
-            out = np.where(tc < te, g(te) - g(np.minimum(tc, te)), 0.0)
-        elif self.kind == "gauss":
-            out = 0.5 * (np.exp(-np.square(tc)) - math.exp(-1.0))
-        elif self.kind == "custom" and self.psi_fn is not None:
+        tc = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), self.support)
+        if self.psi_fn is not None:
             out = self.psi_fn(tc)
-        elif self.kind == "custom":
-            flat = tc.ravel()
-            vals = np.empty_like(flat)
-            for i, ti in enumerate(flat):
-                if ti >= self.support:
-                    vals[i] = 0.0
-                else:
-                    vals[i], _ = integrate.quad(
-                        lambda s: float(self.eta(s)) * s, ti, self.support,
-                        epsabs=1e-10, limit=200)
-            out = vals.reshape(tc.shape)
         else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            out = np.reshape([integrate.quad(lambda s: float(self.eta(s)) * s, ti, self.support,
+                                             epsabs=1e-10, limit=200)[0]
+                              for ti in tc.ravel()], tc.shape)
         return np.asarray(np.maximum(out, 0.0))
 
     def stretched(self, factor: float) -> "KernelProfile":
         """Profile t -> eta(factor * t), with support scaled by 1/factor.
 
-        Its psi is this profile's, in closed form: substituting u = factor * s,
-        int_t^inf eta(factor * s) s ds = psi(factor * t) / factor^2.
+        Its closed forms are this profile's: substituting u = factor * s,
+        int_t^inf eta(factor * s) s ds = psi(factor * t) / factor^2 and
+        int eta(factor * t) t^p dt = moment_p / factor^(p+1).
         """
-        base = self
+        moment = self.moment_fn
         return KernelProfile(
-            kind="custom",
+            label=f"{self.label}*stretched:{factor:g}",
             support=self.support / factor,
             lipschitz_bound=self.lipschitz_bound * factor,
-            profile_fn=lambda t: base.eta(factor * t),
-            label=f"{self.label or self.kind}*stretched:{factor:g}",
-            psi_fn=lambda t: base.psi(factor * t) / factor ** 2,
+            profile_fn=lambda t: self.eta(factor * t),
+            psi_fn=lambda t: self.psi(factor * t) / factor ** 2,
+            moment_fn=None if moment is None else lambda p: moment(p) / factor ** (p + 1),
         )
 
 
 def indicator_kernel() -> KernelProfile:
     """eta = 1 on [0, 1], 0 beyond."""
-    return KernelProfile(kind="indicator", lipschitz_bound=0.0, label="indicator")
+    return KernelProfile(label="indicator", support=1.0, lipschitz_bound=0.0,
+                         profile_fn=lambda t: 1.0,
+                         psi_fn=lambda t: 0.5 * (1.0 - np.square(t)),
+                         moment_fn=lambda p: 1.0 / (p + 1))
 
 
 def triangular_kernel(slope: float) -> KernelProfile:
     """eta(t) = max(1 - slope*t, 0) on [0, 1].  Requires slope < 4/3 so eta(3/4) > 0."""
     if not 0.0 < slope < 4.0 / 3.0:
         raise ValueError("triangular slope must lie in (0, 4/3) to keep eta(3/4) positive")
-    return KernelProfile(kind="triangular", slope=slope, lipschitz_bound=slope,
-                         label=f"triangular:{float(slope)!r}")
+    # eta reaches 0 at te = 1/slope, or is cut at the support 1 first
+    te = min(1.0, 1.0 / slope)
+    g = lambda s: 0.5 * s * s - slope * s ** 3 / 3.0
+    return KernelProfile(
+        label=f"triangular:{float(slope)!r}", support=1.0, lipschitz_bound=slope,
+        profile_fn=lambda t: np.maximum(1.0 - slope * t, 0.0),
+        psi_fn=lambda t: np.where(t < te, g(te) - g(np.minimum(t, te)), 0.0),
+        moment_fn=lambda p: te ** (p + 1) / (p + 1) - slope * te ** (p + 2) / (p + 2))
 
 
 def truncated_gaussian_kernel() -> KernelProfile:
@@ -132,15 +116,19 @@ def truncated_gaussian_kernel() -> KernelProfile:
     The jump at t = 1 is admissible: the Lipschitz requirement only covers
     [0, 1], where |eta'| <= sqrt(2/e).
     """
-    return KernelProfile(kind="gauss", lipschitz_bound=math.sqrt(2.0 / math.e), label="gauss")
+    return KernelProfile(
+        label="gauss", support=1.0, lipschitz_bound=math.sqrt(2.0 / math.e),
+        profile_fn=lambda t: np.exp(-np.square(t)),
+        psi_fn=lambda t: 0.5 * (np.exp(-np.square(t)) - math.exp(-1.0)),
+        moment_fn=lambda p: (0.5 * math.gamma((p + 1) / 2.0)
+                             * float(special.gammainc((p + 1) / 2.0, 1.0))))
 
 
 def custom_kernel(fn, lipschitz_bound: float, support: float = 1.0,
                   label: str = "custom") -> KernelProfile:
     """Wrap a raw callable as a profile (used by validation tests)."""
-    return KernelProfile(kind="custom", support=support, lipschitz_bound=lipschitz_bound,
-                         profile_fn=lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
-                         label=label)
+    return KernelProfile(label=label, support=support, lipschitz_bound=lipschitz_bound,
+                         profile_fn=lambda t: np.asarray(fn(t), dtype=float))
 
 
 def parse_kernel(text: str) -> KernelProfile:
@@ -155,40 +143,30 @@ def parse_kernel(text: str) -> KernelProfile:
 
 
 def _moment(kernel: KernelProfile, power: int, method: str) -> float:
-    """int_0^support eta(t) t^power dt, by closed form or adaptive quadrature."""
+    """int_0^support eta(t) t^power dt: the profile's closed form where it has
+    one, adaptive quadrature otherwise.  method "quadrature" forces the
+    quadrature, and "closed" refuses a profile with no closed form."""
+    if method != "quadrature" and kernel.moment_fn is not None:
+        return kernel.moment_fn(power)
     if method == "closed":
-        if kernel.kind == "indicator":
-            return 1.0 / (power + 1)
-        if kernel.kind == "triangular":
-            te = min(1.0, 1.0 / kernel.slope)
-            return te ** (power + 1) / (power + 1) - kernel.slope * te ** (power + 2) / (power + 2)
-        if kernel.kind == "gauss":
-            a = (power + 1) / 2.0
-            return 0.5 * math.gamma(a) * float(special.gammainc(a, 1.0))
-        raise ValueError(f"no closed-form moments for kernel kind {kernel.kind!r}")
+        raise ValueError(f"no closed-form moments for kernel {kernel.label!r}")
     val, _ = integrate.quad(lambda t: float(kernel.eta(t)) * t ** power,
                             0.0, kernel.support, epsabs=1e-12, limit=400)
     return val
-
-
-def _pick_method(kernel: KernelProfile, method: str) -> str:
-    if method == "auto":
-        return "closed" if kernel.kind in ("indicator", "triangular", "gauss") else "quadrature"
-    return method
 
 
 def sigma_eta(kernel: KernelProfile, m: int, method: str = "auto") -> float:
     """The order-(m+1) moment constant Vol(S^(m-1))/m * int eta(t) t^(m+1) dt."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return sphere_volume(m) / m * _moment(kernel, m + 1, _pick_method(kernel, method))
+    return sphere_volume(m) / m * _moment(kernel, m + 1, method)
 
 
 def sigma_tilde_eta(kernel: KernelProfile, m: int, method: str = "auto") -> float:
     """The order-(m-1) moment constant Vol(S^(m-1)) * int eta(t) t^(m-1) dt."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return sphere_volume(m) * _moment(kernel, m - 1, _pick_method(kernel, method))
+    return sphere_volume(m) * _moment(kernel, m - 1, method)
 
 
 @dataclass(frozen=True)

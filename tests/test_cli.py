@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lapeig import graph as graph_module
 from lapeig import spectral
 from lapeig.cli import _graph_from_json, build_parser, main
 from lapeig.graph import connectivity_report
@@ -338,3 +339,38 @@ def test_block_worker_failure_exit_code(exc, tmp_path, monkeypatch):
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 3
     monkeypatch.setattr(spectral, "_row_blocks", real)
     assert run(["spectrum", "--in", str(graph_path), "--k", "4"]) == 0
+
+
+def test_out_of_memory_graph_exit_code(tmp_path, monkeypatch, capsys):
+    # a graph JSON whose n alone needs 800 PB of CSR index, more than any
+    # address space holds, so the allocation fails whatever the overcommit rule
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps({"n": 10 ** 17, "eps": 0.1, "kernel": "indicator",
+                                      "m": 1, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]}))
+    capsys.readouterr()
+    assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+
+    # the k-d tree's std::bad_alloc, which reaches Python as a MemoryError
+    class Tree:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def query_pairs(self, *args, **kwargs):
+            raise MemoryError("std::bad_alloc")
+
+    cloud_path = tmp_path / "cloud.json"
+    assert run(["sample", "--manifold", "circle", "--n", "300", "--seed", "3",
+                "--out", str(cloud_path)]) == 0
+    monkeypatch.setattr(graph_module, "cKDTree", Tree)
+    capsys.readouterr()
+    assert run(["graph", "--in", str(cloud_path), "--eps", "auto",
+                "--out", str(tmp_path / "g.json")]) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+    # a sweep records each trial as failed and still writes its report
+    out = tmp_path / "c.json"
+    assert run(["converge", "--n-grid", "256,512", "--trials", "2", "--format", "json",
+                "--out", str(out)]) == 0
+    failures = json.loads(out.read_text())["failures"]
+    assert len(failures) == 4
+    assert all("does not fit in memory" in f[2] for f in failures)

@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 from lapeig import graph as G
 from lapeig import kernels as K
 from lapeig import manifolds as M
-from lapeig.errors import DimensionMismatch, EmptyCloud, NonFiniteCloud
+from lapeig.errors import DimensionMismatch, EmptyCloud, GraphTooLarge, NonFiniteCloud
+from lapeig.spectral import graph_spectrum
 
 IND = K.indicator_kernel()
 
@@ -78,11 +79,11 @@ def test_pair_at_exactly_eps_is_kept():
 
 def coo_reference(cloud, kernel, eps, metric="ambient"):
     """K and D by one COO of both triangles and the diagonal, all pairs at once."""
-    pts, n = cloud.ambient, cloud.n
-    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-12), output_type="ndarray")
+    pts, n, reach = cloud.ambient, cloud.n, kernel.support * eps
+    pairs = cKDTree(pts).query_pairs(reach * (1.0 + 1e-12), output_type="ndarray")
     ii, jj = pairs[:, 0], pairs[:, 1]
     chord = np.linalg.norm(pts[ii] - pts[jj], axis=-1)
-    keep = chord <= eps
+    keep = chord <= reach
     ii, jj, chord = ii[keep], jj[keep], chord[keep]
     if metric == "ambient":
         dist = chord
@@ -284,6 +285,42 @@ def test_connectivity_report():
     chain = M.ambient_cloud(np.arange(10.0)[order, None])
     assert G.connectivity_report(G.build_graph(chain, IND, 1.0)).components == 1
     assert G.connectivity_report(G.build_graph(chain, IND, 0.9)).components == 10
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere"])
+@pytest.mark.parametrize("kernel", [IND, K.triangular_kernel(1.0), K.truncated_gaussian_kernel()],
+                         ids=["indicator", "triangular:1", "gauss"])
+def test_stretched_kernel_at_scaled_eps_gives_the_same_graph(name, kernel):
+    # eta(f t) at scale f eps weights every pair as eta does at eps: the graph
+    # reaches to support * eps, so the edge set is the same, and the rescaled
+    # eigenvalues agree once sigma_eta is the stretched profile's
+    model = M.make_manifold(name)
+    cloud = M.sample_iid(model, 500, 3)
+    eps = G.epsilon_schedule(500, model.m, 1.5)
+    g = G.build_graph(cloud, kernel, eps)
+    for factor in (0.5, 0.75, 1.5):
+        stretched = kernel.stretched(factor)
+        gs = G.build_graph(cloud, stretched, factor * eps)
+        assert np.array_equal(gs.kernel_matrix.indptr, g.kernel_matrix.indptr)
+        assert np.array_equal(gs.kernel_matrix.indices, g.kernel_matrix.indices)
+        for mode in ("unnormalized", "normalized"):
+            want = graph_spectrum(g, 3, mode, kernel, model.m)[1][1:]
+            got = graph_spectrum(gs, 3, mode, stretched, model.m)[1][1:]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, (factor, mode)
+
+
+def test_graph_out_of_memory_is_typed(monkeypatch):
+    # the k-d tree's std::bad_alloc reaches Python as a MemoryError
+    class Tree:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def query_pairs(self, *args, **kwargs):
+            raise MemoryError("std::bad_alloc")
+
+    monkeypatch.setattr(G, "cKDTree", Tree)
+    with pytest.raises(GraphTooLarge, match="does not fit in memory"):
+        G.build_graph(M.sample_iid(M.UnitCircle(), 50, 1), IND, 0.3)
 
 
 def test_connectivity_at_schedule_scale():

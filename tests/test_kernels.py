@@ -90,13 +90,28 @@ def test_sigma_tilde_exact_values():
         math.pi / 3.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
+# the built-ins and each stretched by 0.5, 0.75 and 1.5, whose moments are
+# the base's closed form scaled by 1 / factor^(p+1)
+WITH_STRETCHED = BUILTINS + [k.stretched(f) for k in BUILTINS for f in (0.5, 0.75, 1.5)]
+WITH_STRETCHED_IDS = BUILTIN_IDS + [f"{i}*{f:g}" for i in BUILTIN_IDS for f in (0.5, 0.75, 1.5)]
+
+
+@pytest.mark.parametrize("kernel", WITH_STRETCHED, ids=WITH_STRETCHED_IDS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_closed_form_matches_quadrature(kernel, m):
     assert K.sigma_eta(kernel, m, "closed") == pytest.approx(
         K.sigma_eta(kernel, m, "quadrature"), abs=1e-9)
     assert K.sigma_tilde_eta(kernel, m, "closed") == pytest.approx(
         K.sigma_tilde_eta(kernel, m, "quadrature"), abs=1e-9)
+
+
+def test_custom_profile_moments_come_from_quadrature():
+    # a wrapped callable has no closed form, and neither has its stretch
+    ones, ind = K.custom_kernel(np.ones_like, 0.0), K.indicator_kernel()
+    for kernel, same in ((ones, ind), (ones.stretched(0.5), ind.stretched(0.5))):
+        with pytest.raises(ValueError):
+            K.sigma_eta(kernel, 1, "closed")
+        assert K.sigma_eta(kernel, 2) == pytest.approx(K.sigma_eta(same, 2), abs=1e-12)
 
 
 @pytest.mark.parametrize("kernel", BUILTINS, ids=BUILTIN_IDS)
@@ -163,11 +178,16 @@ def test_triangular_slope_guard():
 
 
 def test_parse_kernel():
-    assert K.parse_kernel("indicator").kind == "indicator"
-    assert K.parse_kernel("triangular:0.5").slope == 0.5
-    assert K.parse_kernel("gauss").kind == "gauss"
+    # each spec gives the profile of that label: 1, 1 - slope * t and exp(-t^2)
+    t = np.linspace(0.0, 1.0, 9)
+    ind, tri, gauss = (K.parse_kernel(s) for s in ("indicator", "triangular:0.5", "gauss"))
+    assert (ind.label, tri.label, gauss.label) == ("indicator", "triangular:0.5", "gauss")
+    assert np.array_equal(ind.eta(t), np.ones_like(t))
+    assert np.array_equal(tri.eta(t), 1.0 - 0.5 * t)
+    assert np.array_equal(gauss.eta(t), np.exp(-t * t))
     for slope in (0.5, 1.0 / 3.0, 1.2):  # the label is the spec the kernel came from
         kernel = K.triangular_kernel(slope)
         assert K.parse_kernel(kernel.label) == kernel
+        assert hash(K.parse_kernel(kernel.label)) == hash(kernel)
     with pytest.raises(ValueError):
         K.parse_kernel("boxcar")
