@@ -81,6 +81,12 @@ def _cloud_from_json(obj: dict) -> PointCloud:
 
 
 def _graph_to_json(graph: NeighborhoodGraph, m: int) -> dict:
+    """The graph as JSON; its kernel label must be one that parse_kernel reads back."""
+    try:
+        parse_kernel(graph.kernel_id)
+    except ValueError as exc:
+        raise LapeigError(f"a graph of kernel {graph.kernel_id!r} cannot be read back: "
+                          f"{exc}") from exc
     trips = graph.triplets()
     return {
         "n": graph.n,
@@ -160,7 +166,8 @@ def _cmd_spectrum(args) -> int:
                  "values": [float(v) for v in spec.values],
                  "rescaled": [float(v) for v in rescaled],
                  "eps": graph.eps, "n": graph.n,
-                 "solver": spec.solver, "residual": spec.residual}, args.out)
+                 "solver": spec.solver, "residual": spec.residual,
+                 "matvecs": spec.matvecs}, args.out)
     return 0
 
 

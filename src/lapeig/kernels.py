@@ -79,7 +79,7 @@ class KernelProfile:
         """
         moment = self.moment_fn
         return KernelProfile(
-            label=f"{self.label}*stretched:{factor:g}",
+            label=f"{self.label}*stretched:{float(factor)!r}",
             support=self.support / factor,
             lipschitz_bound=self.lipschitz_bound * factor,
             profile_fn=lambda t: self.eta(factor * t),
@@ -132,7 +132,15 @@ def custom_kernel(fn, lipschitz_bound: float, support: float = 1.0,
 
 
 def parse_kernel(text: str) -> KernelProfile:
-    """Parse the CLI kernel syntax: indicator | triangular:<c> | gauss."""
+    """Parse the CLI kernel syntax, indicator | triangular:<c> | gauss, each
+    optionally followed by *stretched:<f>: every label a built-in or its
+    ``stretched`` writes."""
+    base, sep, factor = text.rpartition("*stretched:")
+    if sep:
+        f = float(factor)
+        if not (math.isfinite(f) and f > 0.0):
+            raise ValueError(f"kernel stretch factor must be finite and positive, got {factor!r}")
+        return parse_kernel(base).stretched(f)
     if text == "indicator":
         return indicator_kernel()
     if text == "gauss":

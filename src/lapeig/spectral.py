@@ -2,6 +2,10 @@
 
 Both solve A = diag(a) - diag(s) K diag(s) on the graph's own K, building no
 matrix: L for (a, s) = (D, 1), D^(-1/2) L D^(-1/2) for (a, s) = (1, D^(-1/2)).
+Since a = s^2 d, w = 1/s is A's exact null vector in both modes (1 for L,
+sqrt(d) for the normalized matrix), so Lanczos never searches for it: it
+solves A + sigma u u^T, u = w/||w||, for the other pairs and stops at
+LANCZOS_TOL, and the null pair is prepended as (w^T A w / w^T w, u).
 
 The comparison half works on finite-dimensional inner-product spaces given
 as matrices: an SPD Gram matrix for the inner product and a symmetric PSD
@@ -33,6 +37,8 @@ from .graph import NeighborhoodGraph, connectivity_report
 from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 
 RESIDUAL_TOL = 1e-8
+# ARPACK's stopping tolerance on the deflated operator, relative to each Ritz value
+LANCZOS_TOL = 1e-10
 LANCZOS_NCV = 40
 LANCZOS_MAXITER = 500
 # stored entries per row block of a split Lanczos matvec, at least; on a
@@ -58,13 +64,15 @@ class Spectrum:
     the path that found the pairs (``"dense"`` or ``"lanczos"``) and
     ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
     relative to 2 max diag(A), an upper bound of the spectrum of the solved
-    symmetric matrix A.
+    symmetric matrix A.  ``matvecs`` counts the operator products ARPACK
+    asked for, 0 on the dense path.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     solver: str
     residual: float
+    matvecs: int
     weights: np.ndarray | None = None
 
 
@@ -125,74 +133,102 @@ def _scaled_product(kdot, a: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.nda
     return np.subtract(a * x, y, out=y)
 
 
-def _lanczos_operator(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray):
-    """diag(a) - diag(s) K diag(s) as an operator whose K products spread K's rows
-    over the cores that the other solves in flight leave idle.
+class _LanczosOperator(LinearOperator):
+    """diag(a) - diag(s) K diag(s) + sigma u u^T as an operator whose K products
+    spread K's rows over the cores that the other solves in flight leave idle.
 
     Each matvec uses min(cores // solves in flight, nnz // MATVEC_BLOCK_NNZ)
     blocks, at least one, read afresh each time: solves running side by side
     (the harness's threads) share the cores, and a lone solve takes them all.
+    ``matvecs`` counts the products.  A subclass, not a closure over itself,
+    so that no reference cycle keeps K's blocks alive after the solve.
     """
-    most = max(1, min(_CORES, kmat.nnz // MATVEC_BLOCK_NNZ))
-    split = {count: _row_blocks(kmat, count) for count in range(1, most + 1)}
 
-    def kdot(x):
-        return _blocks_matvec(split[max(1, min(_CORES // _solves_in_flight, most))], x)
+    def __init__(self, kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
+                 sigma: float, u: np.ndarray):
+        super().__init__(kmat.dtype, kmat.shape)
+        self._most = max(1, min(_CORES, kmat.nnz // MATVEC_BLOCK_NNZ))
+        self._split = {count: _row_blocks(kmat, count) for count in range(1, self._most + 1)}
+        self._a, self._s, self._sigma, self._u = a, s, sigma, u
+        self.matvecs = 0
 
-    return LinearOperator(kmat.shape, matvec=lambda x: _scaled_product(kdot, a, s, x),
-                          dtype=kmat.dtype)
+    def _kdot(self, x):
+        return _blocks_matvec(self._split[max(1, min(_CORES // _solves_in_flight, self._most))], x)
+
+    def _matvec(self, x):
+        self.matvecs += 1
+        y = _scaled_product(self._kdot, self._a, self._s, x)
+        y += (self._sigma * (self._u @ x)) * self._u
+        return y
 
 
 def _smallest_eigenpairs(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
-                         count: int) -> tuple[np.ndarray, np.ndarray, str, float]:
+                         count: int) -> tuple[np.ndarray, np.ndarray, str, float, int]:
     """Smallest eigenpairs of A = diag(a) - diag(s) K diag(s), PSD and diagonally dominant.
 
-    ARPACK's regular-mode Lanczos for the smallest algebraic values (one
-    product with K per step, no factorization), from a seeded start vector
-    and with LANCZOS_NCV basis vectors and at most LANCZOS_MAXITER restarts.
-    Its K products are split over the idle cores (_lanczos_operator), with
-    every iterate bit-identical to the unsplit one.  Dense ``eigh`` of A runs
-    only for count >= n - 1, where ``eigsh`` refuses an operator.  A single
-    Krylov start vector finds one copy of an exactly repeated eigenvalue
-    only, so the multiplicity of zero is not read from these values:
+    Dense ``eigh`` of A runs only for count >= n - 1, where ``eigsh`` refuses
+    an operator.  Otherwise the null pair is known, since a = s^2 d makes
+    w = 1/s an exact null vector of A: ARPACK's regular-mode Lanczos (one
+    product with K per step, split over the idle cores by _LanczosOperator)
+    finds the count - 1 smallest values of A + sigma u u^T, u = w/||w||, from
+    a seeded start vector, with LANCZOS_NCV basis vectors, at most
+    LANCZOS_MAXITER restarts and tolerance LANCZOS_TOL, and
+    (w^T A w / w^T w, u) is prepended.  lambda_0 is taken from the
+    unnormalized w, which rounds less than u.  sigma = max diag(A) is at most
+    lambda_max, so the spread does not grow; a deflated value at or above
+    sigma is a SolverFailure.  Zero's multiplicity is not read from these
+    values (a Krylov solve finds one copy of a repeated eigenvalue):
     graph_spectrum counts components first.  Returns (values, unit vectors,
-    solver, residual); a failed solve of either kind, or a residual above
-    RESIDUAL_TOL relative to 2 max diag(A), is a SolverFailure.
+    solver, residual, matvecs); a failed solve, or a residual of any pair,
+    the null pair included, above RESIDUAL_TOL relative to 2 max diag(A), is
+    a SolverFailure.
     """
     n = kmat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
     solver = SOLVER_DENSE if count >= n - 1 else SOLVER_LANCZOS
+    sigma = float(np.max(a - s * s * kmat.diagonal()))
+    w = 1.0 / s
+    u = w / np.linalg.norm(w)
+    vals, vecs, matvecs = np.empty(0), np.empty((n, 0)), 0
     try:
         if solver == SOLVER_DENSE:
             dense = _scaled_product(kmat.dot, a[:, None], s[:, None], np.eye(n))
             vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
-        else:
+        elif count > 1:
+            op = _LanczosOperator(kmat, a, s, sigma, u)
             v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
             with _counted_solve():
-                vals, vecs = eigsh(_lanczos_operator(kmat, a, s), k=count, which="SA", tol=0,
-                                   v0=v0, ncv=min(n, max(LANCZOS_NCV, 2 * count + 1)),
+                vals, vecs = eigsh(op, k=count - 1, which="SA", tol=LANCZOS_TOL, v0=v0,
+                                   ncv=min(n, max(LANCZOS_NCV, 2 * count - 1)),
                                    maxiter=LANCZOS_MAXITER)
+            matvecs = op.matvecs
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
     # ARPACK errors are RuntimeErrors; LAPACK's are LinAlgErrors (a ValueError)
     except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         raise SolverFailure(f"{solver} solve of a {n}x{n} matrix failed: {exc!r}") from exc
-    bound = 2.0 * float(np.max(a - s * s * kmat.diagonal()))
+    if solver == SOLVER_LANCZOS:
+        if not np.all(vals < sigma):
+            raise SolverFailure(f"deflated eigenvalues of a {n}x{n} matrix reach the shift "
+                                f"{sigma:.4g}: {vals.max():.4g}")
+        null = float(w @ _scaled_product(kmat.dot, a, s, w) / (w @ w))
+        vals, vecs = np.concatenate(([null], vals)), np.column_stack((u, vecs))
+    bound = 2.0 * sigma
     resid = _scaled_product(kmat.dot, a[:, None], s[:, None], vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
     if not worst <= RESIDUAL_TOL * bound:
         raise SolverFailure(f"{solver} eigenpairs of a {n}x{n} matrix have residual "
                             f"{worst:.3g}, above {RESIDUAL_TOL:g} x {bound:.4g}")
-    return vals, vecs, solver, (worst / bound if bound > 0 else 0.0)
+    return vals, vecs, solver, (worst / bound if bound > 0 else 0.0), matvecs
 
 
 def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
     """Smallest k+1 eigenpairs of L = D - K, eigenvectors of mean-square norm one."""
-    vals, vecs, solver, residual = _smallest_eigenpairs(
+    vals, vecs, solver, residual, matvecs = _smallest_eigenpairs(
         graph.kernel_matrix, graph.degrees, np.ones(graph.n), k + 1)
     return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n), solver=solver,
-                    residual=residual)
+                    residual=residual, matvecs=matvecs)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
@@ -204,13 +240,13 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
     degrees D_ii / (n eps^m sigma_tilde) of ``kernel`` in dimension ``m``.
     """
     d = graph.degrees
-    vals, vecs, solver, residual = _smallest_eigenpairs(
+    vals, vecs, solver, residual, matvecs = _smallest_eigenpairs(
         graph.kernel_matrix, np.ones(graph.n), 1.0 / np.sqrt(d), k + 1)
     back = vecs / np.sqrt(d)[:, None]
     weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)
     return Spectrum(values=vals, vectors=back / norms, solver=solver, residual=residual,
-                    weights=weights)
+                    matvecs=matvecs, weights=weights)
 
 
 def rescale_unnormalized(lam, n: int, eps: float, sigma_eta: float, m: int):

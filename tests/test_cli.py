@@ -9,8 +9,11 @@ import pytest
 
 from lapeig import graph as graph_module
 from lapeig import spectral
-from lapeig.cli import _graph_from_json, build_parser, main
-from lapeig.graph import connectivity_report
+from lapeig.cli import _graph_from_json, _graph_to_json, build_parser, main
+from lapeig.errors import LapeigError
+from lapeig.graph import build_graph, connectivity_report, epsilon_schedule
+from lapeig.kernels import custom_kernel, parse_kernel
+from lapeig.manifolds import make_manifold, sample_iid
 
 
 def run(argv):
@@ -374,3 +377,27 @@ def test_out_of_memory_graph_exit_code(tmp_path, monkeypatch, capsys):
     failures = json.loads(out.read_text())["failures"]
     assert len(failures) == 4
     assert all("does not fit in memory" in f[2] for f in failures)
+
+
+@pytest.mark.parametrize("base", ["indicator", "triangular:1.2", "gauss"])
+def test_stretched_graph_reads_back(base, tmp_path, capsys):
+    # sample -> graph JSON -> spectrum gives graph_spectrum's values for a
+    # stretched profile, and a custom one is refused when its graph is written
+    cloud = sample_iid(make_manifold("circle"), 300, 3)
+    graph_path = tmp_path / "graph.json"
+    for factor in (0.5, 0.75, 1.5):
+        kernel = parse_kernel(base).stretched(factor)
+        graph = build_graph(cloud, kernel, factor * epsilon_schedule(cloud.n, 1, 1.5))
+        graph_path.write_text(json.dumps(_graph_to_json(graph, 1)))
+        for mode, flags in (("unnormalized", []), ("normalized", ["--normalized"])):
+            capsys.readouterr()
+            assert run(["spectrum", "--in", str(graph_path), "--k", "4"] + flags) == 0
+            got = json.loads(capsys.readouterr().out)
+            spec, rescaled = spectral.graph_spectrum(graph, 4, mode, kernel, 1)
+            tol = 1e-12 * spec.values[-1]
+            np.testing.assert_allclose(got["values"], spec.values, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(got["rescaled"], rescaled, rtol=1e-12)
+            assert got["matvecs"] == spec.matvecs > 0
+    custom = build_graph(cloud, custom_kernel(np.ones_like, 0.0), 0.2)
+    with pytest.raises(LapeigError, match="cannot be read back"):
+        _graph_to_json(custom, 1)

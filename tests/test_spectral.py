@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +94,20 @@ def test_sparse_solver_matches_dense():
 
 
 def test_dense_only_where_arpack_cannot_run(monkeypatch):
-    # eigsh refuses count >= n - 1 on a sparse matrix; every other solve is Lanczos
+    # eigsh refuses count >= n - 1 on a sparse matrix; every other solve is
+    # Lanczos, which needs no eigsh call for the known null pair alone
     def no_lanczos(*args, **kwargs):
         raise RuntimeError("eigsh reached")
 
+    path4 = G.build_graph(M.ambient_cloud([[0.0], [0.5], [1.0], [1.5]]), IND, 0.6)
     monkeypatch.setattr(S, "eigsh", no_lanczos)
     for solve in (S.unnormalized_spectrum, normalized):
         assert solve(path3(), 2).solver == S.SOLVER_DENSE
+        null = solve(path3(), 0)
+        assert (null.solver, null.matvecs) == (S.SOLVER_LANCZOS, 0)
+        assert abs(null.values[0]) <= 1e-15
         with pytest.raises(SolverFailure, match="eigsh reached"):
-            solve(path3(), 0)
+            solve(path4, 1)
 
 
 @pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
@@ -134,13 +141,15 @@ def test_normalized_equals_symmetric_similarity():
 
 @pytest.mark.parametrize("name", ["circle", "sphere", "square"])
 def test_operator_matvec_equals_laplacian_products(name, monkeypatch):
-    # the operator both modes hand to Lanczos, built on K alone, gives L x and
-    # D^(-1/2) L D^(-1/2) x to rounding, with K's rows whole and split
+    # the operator both modes hand to Lanczos, built on K alone, gives
+    # (A + sigma u u^T) x to rounding for A = L and D^(-1/2) L D^(-1/2), with
+    # u the unit null vector and sigma = max diag(A), with K's rows whole and split
     model = M.make_manifold(name)
     kernel = K.triangular_kernel(1.2)
     g = G.build_graph(M.sample_iid(model, 1024, 4), kernel, G.epsilon_schedule(1024, model.m))
     inv_sqrt = sparse.diags(1.0 / np.sqrt(g.degrees))
-    refs = (g.laplacian(), (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr())
+    laps = (g.laplacian(), (inv_sqrt @ g.laplacian() @ inv_sqrt).tocsr())
+    nulls = (np.ones(g.n), np.sqrt(g.degrees))
     x = np.random.default_rng(2).standard_normal(g.n)
     products = []
     real_eigsh = S.eigsh
@@ -158,11 +167,13 @@ def test_operator_matvec_equals_laplacian_products(name, monkeypatch):
         S.normalized_spectrum(g, 3, kernel, model.m)
     assert {blocks for _, blocks in seen} == {1, 3}
     whole, split = products[:2], products[2:]
-    for got, got_split, ref in zip(whole, split, refs):
+    for got, got_split, lap, null in zip(whole, split, laps, nulls):
         assert np.array_equal(got, got_split)
+        u = null / np.linalg.norm(null)
+        sigma = lap.diagonal().max()
         # each entry within rounding of its row's absolute sum
-        bound = 1e-13 * (abs(ref) @ np.abs(x))
-        assert np.all(np.abs(got - ref @ x) <= bound)
+        bound = 1e-13 * (abs(lap) @ np.abs(x) + sigma * np.abs(u) * (np.abs(u) @ np.abs(x)))
+        assert np.all(np.abs(got - (lap @ x + sigma * u * (u @ x))) <= bound)
 
 
 @pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
@@ -473,7 +484,8 @@ def test_arpack_failure_becomes_solver_failure(monkeypatch):
 
 def test_lanczos_restart_limit_becomes_solver_failure(monkeypatch):
     # the real ARPACK run, cut off after one restart
-    g = _sparse_path_graph()
+    cloud = M.sample_iid(M.UnitCircle(), 1200, 3)
+    g = G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
     monkeypatch.setattr(S, "LANCZOS_MAXITER", 1)
     for solve in (S.unnormalized_spectrum, normalized):
         with pytest.raises(SolverFailure, match="No convergence"):
@@ -679,3 +691,79 @@ def test_import_starts_no_thread():
                          check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(S.__file__).parents[1])})
     assert out.stdout.split() == ["1", "True"]
+
+
+@pytest.mark.parametrize("name, mode, seed", [("circle", S.MODE_UNNORMALIZED, 0),
+                                              ("circle", S.MODE_NORMALIZED, 2),
+                                              ("square", S.MODE_NORMALIZED, 0),
+                                              ("square", S.MODE_UNNORMALIZED, 3)])
+def test_loose_arpack_tolerance_keeps_the_null_pair(name, mode, seed, monkeypatch):
+    # ARPACK stopped at tol = 1e-8: undeflated, it returned lambda_1..lambda_5
+    # as lambda_0..lambda_4 on the last three graphs, with no error raised;
+    # deflated, the null pair is never searched for, and every value stays put
+    model = M.make_manifold(name)
+    g = G.build_graph(M.sample_iid(model, 1024, seed), IND,
+                      G.epsilon_schedule(1024, model.m))
+    want = S.graph_spectrum(g, 4, mode, IND, model.m)[0].values
+    real_eigsh = S.eigsh
+    monkeypatch.setattr(S, "eigsh", lambda *args, **kwargs: real_eigsh(
+        *args, **{**kwargs, "tol": 1e-8}))
+    got = S.graph_spectrum(g, 4, mode, IND, model.m)[0].values
+    assert np.all(np.abs(got - want) <= 1e-10 * want[-1])
+
+
+def test_spectrum_counts_the_operator_products(monkeypatch):
+    # matvecs is the number of products ARPACK asked of the operator, 0 on the dense path
+    g = _sparse_path_graph()
+    calls = []
+    real_eigsh = S.eigsh
+
+    def counting(op, *args, **kwargs):
+        def matvec(x):
+            calls.append(1)
+            return op.matvec(x)
+        return real_eigsh(S.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype),
+                          *args, **kwargs)
+
+    monkeypatch.setattr(S, "eigsh", counting)
+    for solve in (S.unnormalized_spectrum, normalized):
+        calls.clear()
+        spec = solve(g, 4)
+        assert spec.matvecs == len(calls) > 0
+        assert solve(path3(), 2).matvecs == 0
+
+
+def test_solve_leaves_no_operator_behind(monkeypatch):
+    # the operator is freed by reference count when the solve returns, with no
+    # wait for the cycle collector: one that closed over itself kept K's row
+    # blocks alive across trials, and converge-small's peak RSS rose 26%
+    refs = []
+    real_eigsh = S.eigsh
+
+    def recording(op, *args, **kwargs):
+        refs.append(weakref.ref(op))
+        return real_eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(S, "eigsh", recording)
+    g = _sparse_path_graph()
+    gc.disable()
+    try:
+        S.unnormalized_spectrum(g, 4)
+        normalized(g, 4)
+    finally:
+        gc.enable()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+
+def test_deflated_value_at_the_shift_becomes_solver_failure(monkeypatch):
+    # a value at sigma = max diag(A) may be the deflated null vector itself
+    g = _sparse_path_graph()
+    real_eigsh = S.eigsh
+
+    def shifted(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        return vals + 2.0 * g.degrees.max(), vecs
+
+    monkeypatch.setattr(S, "eigsh", shifted)
+    with pytest.raises(SolverFailure, match="reach the shift"):
+        S.unnormalized_spectrum(g, 4)
