@@ -111,6 +111,9 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     try:
         kmat = sparse.coo_matrix((weights, (idx[:, 0].astype(int), idx[:, 1].astype(int))),
                                  shape=(n, n)).tocsr()
+        # tocsr sums the weights of a repeated (i, j) pair into one entry
+        if kmat.nnz < len(weights):
+            raise LapeigError("graph triplets repeat an (i, j) pair")
         # zero weights are no edges: the component count reads every stored entry
         kmat.eliminate_zeros()
         if (kmat != kmat.T).nnz:
@@ -166,8 +169,7 @@ def _cmd_spectrum(args) -> int:
                  "values": [float(v) for v in spec.values],
                  "rescaled": [float(v) for v in rescaled],
                  "eps": graph.eps, "n": graph.n,
-                 "solver": spec.solver, "residual": spec.residual,
-                 "matvecs": spec.matvecs}, args.out)
+                 "residual": spec.residual, "matvecs": spec.matvecs}, args.out)
     return 0
 
 

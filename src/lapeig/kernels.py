@@ -1,10 +1,11 @@
 """Kernel profiles and their moment constants.
 
-A kernel is a non-increasing function ``eta`` on [0, inf) with compact
-support, positive at 3/4 of its support and Lipschitz on [0, 1].  Edge
-weights of the neighborhood graph are ``eta(dist / eps)``, and the two
-moment constants ``sigma_eta`` and ``sigma_tilde_eta`` normalize graph
-eigenvalues to manifold eigenvalues.
+A kernel is a non-increasing function ``eta`` on [0, inf), zero past t = 1,
+positive at t = 3/4 and Lipschitz on [0, 1]: validate_kernel checks each on
+the same unit interval, whatever the profile's own support.  Edge weights of
+the neighborhood graph are ``eta(dist / eps)``, and the two moment constants
+``sigma_eta`` and ``sigma_tilde_eta`` normalize graph eigenvalues to
+manifold eigenvalues.
 """
 
 from __future__ import annotations
@@ -236,9 +237,9 @@ def validate_kernel(kernel: KernelProfile) -> KernelValidation:
             VIOLATES_SUPPORT, float(grid[i]),
             f"eta({grid[i]:.6g}) = {vals[i]:.6g} past t = 1"))
 
-    if kernel.eta(0.75 * kernel.support) <= 0.0:
+    if kernel.eta(0.75) <= 0.0:
         violations.append(KernelViolation(
-            VIOLATES_POSITIVITY_AT_34, 0.75 * kernel.support, "eta(3/4) is not positive"))
+            VIOLATES_POSITIVITY_AT_34, 0.75, "eta(3/4) is not positive"))
 
     unit = grid <= 1.0
     gu, vu = grid[unit], vals[unit]

@@ -5,7 +5,9 @@ matrix: L for (a, s) = (D, 1), D^(-1/2) L D^(-1/2) for (a, s) = (1, D^(-1/2)).
 Since a = s^2 d, w = 1/s is A's exact null vector in both modes (1 for L,
 sqrt(d) for the normalized matrix), so Lanczos never searches for it: it
 solves A + sigma u u^T, u = w/||w||, for the other pairs and stops at
-LANCZOS_TOL, and the null pair is prepended as (w^T A w / w^T w, u).
+LANCZOS_TOL, and the null pair is prepended as (w^T A w / w^T w, u).  With
+sigma = 4 max diag(A), twice the bound of A's spectrum, the null direction
+sits above every other eigenvalue, so this one path solves every count <= n.
 
 The comparison half works on finite-dimensional inner-product spaces given
 as matrices: an SPD Gram matrix for the inner product and a symmetric PSD
@@ -47,9 +49,6 @@ MATVEC_BLOCK_NNZ = 200_000
 # points per half-turn of the sphere grid that estimates a comparison supremum
 GRID_DENSITY = 256
 
-SOLVER_DENSE = "dense"
-SOLVER_LANCZOS = "lanczos"
-
 MODE_UNNORMALIZED = "unnormalized"
 MODE_NORMALIZED = "normalized"
 
@@ -60,17 +59,15 @@ class Spectrum:
     that ``weights`` names.
 
     ``weights`` is None for the plain (1/n) mean inner product, else the
-    per-vertex weight vector entering (1/n) sum u_i v_i w_i.  ``solver`` is
-    the path that found the pairs (``"dense"`` or ``"lanczos"``) and
-    ``residual`` their largest residual max_j ||A v_j - lambda_j v_j||
-    relative to 2 max diag(A), an upper bound of the spectrum of the solved
-    symmetric matrix A.  ``matvecs`` counts the operator products ARPACK
-    asked for, 0 on the dense path.
+    per-vertex weight vector entering (1/n) sum u_i v_i w_i.  ``residual``
+    is the pairs' largest residual max_j ||A v_j - lambda_j v_j|| relative
+    to 2 max diag(A), an upper bound of the spectrum of the solved symmetric
+    matrix A.  ``matvecs`` counts the operator products ARPACK asked for, 0
+    only for k = 0, which makes no ARPACK call.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    solver: str
     residual: float
     matvecs: int
     weights: np.ndarray | None = None
@@ -163,72 +160,68 @@ class _LanczosOperator(LinearOperator):
 
 
 def _smallest_eigenpairs(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
-                         count: int) -> tuple[np.ndarray, np.ndarray, str, float, int]:
+                         count: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Smallest eigenpairs of A = diag(a) - diag(s) K diag(s), PSD and diagonally dominant.
 
-    Dense ``eigh`` of A runs only for count >= n - 1, where ``eigsh`` refuses
-    an operator.  Otherwise the null pair is known, since a = s^2 d makes
-    w = 1/s an exact null vector of A: ARPACK's regular-mode Lanczos (one
-    product with K per step, split over the idle cores by _LanczosOperator)
-    finds the count - 1 smallest values of A + sigma u u^T, u = w/||w||, from
-    a seeded start vector, with LANCZOS_NCV basis vectors, at most
-    LANCZOS_MAXITER restarts and tolerance LANCZOS_TOL, and
-    (w^T A w / w^T w, u) is prepended.  lambda_0 is taken from the
-    unnormalized w, which rounds less than u.  sigma = max diag(A) is at most
-    lambda_max, so the spread does not grow; a deflated value at or above
-    sigma is a SolverFailure.  Zero's multiplicity is not read from these
-    values (a Krylov solve finds one copy of a repeated eigenvalue):
-    graph_spectrum counts components first.  Returns (values, unit vectors,
-    solver, residual, matvecs); a failed solve, or a residual of any pair,
-    the null pair included, above RESIDUAL_TOL relative to 2 max diag(A), is
-    a SolverFailure.
+    The null pair is known, since a = s^2 d makes w = 1/s an exact null
+    vector of A: ARPACK's regular-mode Lanczos (one product with K per step,
+    split over the idle cores by _LanczosOperator) finds the count - 1
+    smallest values of A + sigma u u^T, u = w/||w||, from a seeded start
+    vector, with LANCZOS_NCV basis vectors, at most LANCZOS_MAXITER restarts
+    and tolerance LANCZOS_TOL, and (w^T A w / w^T w, u) is prepended;
+    count = 1 makes no ARPACK call.  lambda_0 is taken from the unnormalized
+    w, which rounds less than u.  beta = 2 max diag(A) bounds A's spectrum,
+    since x^T A x <= 2 sum_i A_ii x_i^2, and a bipartite graph reaches it;
+    sigma = 2 beta puts the null direction strictly above every other
+    eigenvalue, so every count <= n is a Lanczos solve, and a deflated value
+    at or above sigma is a SolverFailure.  Zero's multiplicity is not read
+    from these values (a Krylov solve finds one copy of a repeated
+    eigenvalue): graph_spectrum counts components first.  Returns (values,
+    unit vectors, residual, matvecs); a failed solve, or a residual of any
+    pair, the null pair included, above RESIDUAL_TOL relative to beta, is a
+    SolverFailure.
     """
     n = kmat.shape[0]
     if count > n:
         raise KTooLarge(f"requested {count} eigenpairs of a {n}x{n} matrix")
-    solver = SOLVER_DENSE if count >= n - 1 else SOLVER_LANCZOS
-    sigma = float(np.max(a - s * s * kmat.diagonal()))
+    beta = 2.0 * float(np.max(a - s * s * kmat.diagonal()))
+    sigma = 2.0 * beta
     w = 1.0 / s
     u = w / np.linalg.norm(w)
     vals, vecs, matvecs = np.empty(0), np.empty((n, 0)), 0
-    try:
-        if solver == SOLVER_DENSE:
-            dense = _scaled_product(kmat.dot, a[:, None], s[:, None], np.eye(n))
-            vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
-        elif count > 1:
+    if count > 1:
+        v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
+        try:
             op = _LanczosOperator(kmat, a, s, sigma, u)
-            v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
             with _counted_solve():
                 vals, vecs = eigsh(op, k=count - 1, which="SA", tol=LANCZOS_TOL, v0=v0,
                                    ncv=min(n, max(LANCZOS_NCV, 2 * count - 1)),
                                    maxiter=LANCZOS_MAXITER)
-            matvecs = op.matvecs
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-    # ARPACK errors are RuntimeErrors; LAPACK's are LinAlgErrors (a ValueError)
-    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
-        raise SolverFailure(f"{solver} solve of a {n}x{n} matrix failed: {exc!r}") from exc
-    if solver == SOLVER_LANCZOS:
-        if not np.all(vals < sigma):
-            raise SolverFailure(f"deflated eigenvalues of a {n}x{n} matrix reach the shift "
-                                f"{sigma:.4g}: {vals.max():.4g}")
-        null = float(w @ _scaled_product(kmat.dot, a, s, w) / (w @ w))
-        vals, vecs = np.concatenate(([null], vals)), np.column_stack((u, vecs))
-    bound = 2.0 * sigma
+        # ARPACK's errors are RuntimeErrors
+        except (RuntimeError, MemoryError) as exc:
+            raise SolverFailure(f"Lanczos solve of a {n}x{n} matrix failed: {exc!r}") from exc
+        matvecs = op.matvecs
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    if not np.all(vals < sigma):
+        raise SolverFailure(f"deflated eigenvalues of a {n}x{n} matrix reach the shift "
+                            f"{sigma:.4g}: {vals.max():.4g}")
+    null = float(w @ _scaled_product(kmat.dot, a, s, w) / (w @ w))
+    vals, vecs = np.concatenate(([null], vals)), np.column_stack((u, vecs))
     resid = _scaled_product(kmat.dot, a[:, None], s[:, None], vecs) - vecs * vals
     worst = float(np.linalg.norm(resid, axis=0).max())
-    if not worst <= RESIDUAL_TOL * bound:
-        raise SolverFailure(f"{solver} eigenpairs of a {n}x{n} matrix have residual "
-                            f"{worst:.3g}, above {RESIDUAL_TOL:g} x {bound:.4g}")
-    return vals, vecs, solver, (worst / bound if bound > 0 else 0.0), matvecs
+    if not worst <= RESIDUAL_TOL * beta:
+        raise SolverFailure(f"eigenpairs of a {n}x{n} matrix have residual "
+                            f"{worst:.3g}, above {RESIDUAL_TOL:g} x {beta:.4g}")
+    return vals, vecs, (worst / beta if beta > 0 else 0.0), matvecs
 
 
 def unnormalized_spectrum(graph: NeighborhoodGraph, k: int) -> Spectrum:
     """Smallest k+1 eigenpairs of L = D - K, eigenvectors of mean-square norm one."""
-    vals, vecs, solver, residual, matvecs = _smallest_eigenpairs(
+    vals, vecs, residual, matvecs = _smallest_eigenpairs(
         graph.kernel_matrix, graph.degrees, np.ones(graph.n), k + 1)
-    return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n), solver=solver,
-                    residual=residual, matvecs=matvecs)
+    return Spectrum(values=vals, vectors=vecs * math.sqrt(graph.n), residual=residual,
+                    matvecs=matvecs)
 
 
 def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
@@ -240,13 +233,13 @@ def normalized_spectrum(graph: NeighborhoodGraph, k: int, kernel: KernelProfile,
     degrees D_ii / (n eps^m sigma_tilde) of ``kernel`` in dimension ``m``.
     """
     d = graph.degrees
-    vals, vecs, solver, residual, matvecs = _smallest_eigenpairs(
+    vals, vecs, residual, matvecs = _smallest_eigenpairs(
         graph.kernel_matrix, np.ones(graph.n), 1.0 / np.sqrt(d), k + 1)
     back = vecs / np.sqrt(d)[:, None]
     weights = d / (graph.n * graph.eps ** m * sigma_tilde_eta(kernel, m))
     norms = np.sqrt(np.einsum("ij,ij->j", back * weights[:, None], back) / graph.n)
-    return Spectrum(values=vals, vectors=back / norms, solver=solver, residual=residual,
-                    matvecs=matvecs, weights=weights)
+    return Spectrum(values=vals, vectors=back / norms, residual=residual, matvecs=matvecs,
+                    weights=weights)
 
 
 def rescale_unnormalized(lam, n: int, eps: float, sigma_eta: float, m: int):

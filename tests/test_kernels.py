@@ -159,9 +159,11 @@ def test_validate_wide_support():
 
 
 def test_validate_positivity_at_34():
-    bad = K.custom_kernel(lambda t: np.maximum(1.0 - 2.0 * t, 0.0), lipschitz_bound=2.0)
-    report = K.validate_kernel(bad)
-    assert K.VIOLATES_POSITIVITY_AT_34 in report.kinds()
+    # the second reaches zero at t = 2/3, inside 3/4 of its own support 2/3
+    for bad in (K.custom_kernel(lambda t: np.maximum(1.0 - 2.0 * t, 0.0), lipschitz_bound=2.0),
+                K.triangular_kernel(1.0).stretched(1.5)):
+        report = K.validate_kernel(bad)
+        assert K.VIOLATES_POSITIVITY_AT_34 in report.kinds()
 
 
 def test_validate_lipschitz():

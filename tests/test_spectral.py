@@ -34,6 +34,15 @@ def path3():
     return G.build_graph(M.ambient_cloud([[0.0], [0.5], [1.0]]), IND, 0.6)
 
 
+def edge_graph(n, edges):
+    """n vertices joined by unit-weight edges, with no self-loops."""
+    i, j = np.array(edges).T
+    kmat = sparse.coo_matrix((np.ones(2 * len(edges)), (np.r_[i, j], np.r_[j, i])),
+                             shape=(n, n)).tocsr()
+    return G.NeighborhoodGraph(n=n, eps=1.0, kernel_id=IND.label, metric="ambient",
+                               kernel_matrix=kmat, degrees=np.asarray(kmat.sum(axis=1)).ravel())
+
+
 def normalized(graph, k):
     """The degree-weighted solve, weighted with the indicator's constants for a curve."""
     return S.normalized_spectrum(graph, k, IND, 1)
@@ -86,28 +95,53 @@ def test_sparse_solver_matches_dense():
     for spec, mat, back in ((S.unnormalized_spectrum(g, 4), lap, np.ones(g.n)),
                             (normalized(g, 4),
                              inv_sqrt[:, None] * lap * inv_sqrt[None, :], inv_sqrt)):
-        assert spec.solver == S.SOLVER_LANCZOS
         vals, vecs = sla.eigh(mat, subset_by_index=[0, 4])
         assert np.allclose(spec.values, vals, atol=1e-8)
         rep = S.subspace_alignment(vecs[:, 1:3] * back[:, None], spec.vectors[:, 1:3])
         assert np.max(rep.residuals) < 1e-8
 
 
-def test_dense_only_where_arpack_cannot_run(monkeypatch):
-    # eigsh refuses count >= n - 1 on a sparse matrix; every other solve is
-    # Lanczos, which needs no eigsh call for the known null pair alone
-    def no_lanczos(*args, **kwargs):
-        raise RuntimeError("eigsh reached")
+# path3 and clique3 carry self-loops; the other three are bipartite with none,
+# so in both modes their largest eigenvalue is 2 max diag(A)
+TINY_GRAPHS = {"path3": path3, "clique3": clique3,
+               "edge": lambda: edge_graph(2, [(0, 1)]),
+               "cycle4": lambda: edge_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+               "k33": lambda: edge_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])}
 
-    path4 = G.build_graph(M.ambient_cloud([[0.0], [0.5], [1.0], [1.5]]), IND, 0.6)
+
+@pytest.mark.parametrize("name", TINY_GRAPHS)
+def test_tiny_graphs_match_dense_eigh(name, monkeypatch):
+    # every k <= n - 1 is a Lanczos solve, k = n - 1 included, where the
+    # deflated null direction must sit above the whole rest of the spectrum
+    g = TINY_GRAPHS[name]()
+    lap = g.laplacian().toarray()
+    inv_sqrt = 1.0 / np.sqrt(g.degrees)
+    for solve, mat in ((S.unnormalized_spectrum, lap),
+                       (normalized, inv_sqrt[:, None] * lap * inv_sqrt[None, :])):
+        ref = sla.eigh(mat, eigvals_only=True)
+        for k in range(g.n):
+            np.testing.assert_allclose(solve(g, k).values, ref[:k + 1], rtol=0.0,
+                                       atol=1e-12 * max(1.0, ref[-1]))
+
+    # the known null pair alone needs no eigsh call
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh reached")
+
     monkeypatch.setattr(S, "eigsh", no_lanczos)
     for solve in (S.unnormalized_spectrum, normalized):
-        assert solve(path3(), 2).solver == S.SOLVER_DENSE
-        null = solve(path3(), 0)
-        assert (null.solver, null.matvecs) == (S.SOLVER_LANCZOS, 0)
+        null = solve(g, 0)
+        assert null.matvecs == 0
         assert abs(null.values[0]) <= 1e-15
-        with pytest.raises(SolverFailure, match="eigsh reached"):
-            solve(path4, 1)
+
+
+@pytest.mark.parametrize("mode, value", [(S.MODE_UNNORMALIZED, 50.0), (S.MODE_NORMALIZED, 1.0)])
+def test_complete_graph_spectrum(mode, value):
+    # eps = 3 is past the circle's diameter, so K is all ones: lambda_1..4 = n
+    # in plain mode and 1 in normalized mode, both above max diag(A)
+    g = G.build_graph(M.sample_iid(M.UnitCircle(), 50, 1), IND, 3.0)
+    assert g.kernel_matrix.nnz == 50 * 50
+    spec, _ = S.graph_spectrum(g, 4, mode, IND, 1)
+    np.testing.assert_allclose(spec.values, [0.0] + 4 * [value], rtol=0.0, atol=1e-12 * value)
 
 
 @pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
@@ -117,7 +151,6 @@ def test_lanczos_finds_both_copies_of_double_eigenvalues(mode):
     t = 2.0 * math.pi * np.arange(600) / 600
     g = G.build_graph(M.ambient_cloud(np.stack([np.cos(t), np.sin(t)], axis=-1)), IND, 0.047)
     spec, _ = S.graph_spectrum(g, 6, mode, IND, 1)
-    assert spec.solver == S.SOLVER_LANCZOS
     lap = g.laplacian().toarray()
     if mode == S.MODE_NORMALIZED:
         lap = lap / np.sqrt(np.outer(g.degrees, g.degrees))
@@ -143,7 +176,7 @@ def test_normalized_equals_symmetric_similarity():
 def test_operator_matvec_equals_laplacian_products(name, monkeypatch):
     # the operator both modes hand to Lanczos, built on K alone, gives
     # (A + sigma u u^T) x to rounding for A = L and D^(-1/2) L D^(-1/2), with
-    # u the unit null vector and sigma = max diag(A), with K's rows whole and split
+    # u the unit null vector and sigma = 4 max diag(A), with K's rows whole and split
     model = M.make_manifold(name)
     kernel = K.triangular_kernel(1.2)
     g = G.build_graph(M.sample_iid(model, 1024, 4), kernel, G.epsilon_schedule(1024, model.m))
@@ -170,7 +203,7 @@ def test_operator_matvec_equals_laplacian_products(name, monkeypatch):
     for got, got_split, lap, null in zip(whole, split, laps, nulls):
         assert np.array_equal(got, got_split)
         u = null / np.linalg.norm(null)
-        sigma = lap.diagonal().max()
+        sigma = 4.0 * lap.diagonal().max()
         # each entry within rounding of its row's absolute sum
         bound = 1e-13 * (abs(lap) @ np.abs(x) + sigma * np.abs(u) * (np.abs(u) @ np.abs(x)))
         assert np.all(np.abs(got - (lap @ x + sigma * u * (u @ x))) <= bound)
@@ -454,17 +487,6 @@ def test_memory_error_becomes_solver_failure(monkeypatch):
         S.unnormalized_spectrum(_sparse_path_graph(), 4)
 
 
-def test_dense_failure_becomes_solver_failure(monkeypatch):
-    # LinAlgError is a ValueError, which the CLI would report as a validation error
-    for exc in (MemoryError(), np.linalg.LinAlgError("eigh did not converge")):
-        def failing_eigh(*args, exc=exc, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(S.sla, "eigh", failing_eigh)
-        with pytest.raises(SolverFailure, match=type(exc).__name__):
-            S.unnormalized_spectrum(clique3(), 2)
-
-
 def _sparse_path_graph():
     cloud = M.sample_iid(M.UnitCircle(), 300, 3)
     return G.build_graph(cloud, IND, G.epsilon_schedule(cloud.n, 1))
@@ -495,11 +517,7 @@ def test_lanczos_restart_limit_becomes_solver_failure(monkeypatch):
 def test_large_residual_becomes_solver_failure(monkeypatch):
     g = _sparse_path_graph()
     spec = S.unnormalized_spectrum(g, 4)
-    assert spec.solver == S.SOLVER_LANCZOS
     assert 0.0 <= spec.residual <= S.RESIDUAL_TOL
-    dense = S.unnormalized_spectrum(path3(), 2)
-    assert dense.solver == S.SOLVER_DENSE
-    assert 0.0 <= dense.residual <= S.RESIDUAL_TOL
 
     real_eigsh = S.eigsh
 
@@ -524,7 +542,6 @@ def test_lanczos_matches_direct_shift_invert():
         sym = inv_sqrt @ g.laplacian() @ inv_sqrt
         for spec, mat in ((S.unnormalized_spectrum(g, 4), g.laplacian()),
                           (S.normalized_spectrum(g, 4, IND, model.m), sym)):
-            assert spec.solver == S.SOLVER_LANCZOS
             sigma = -max(1e-8, 1e-3 * float(np.mean(mat.diagonal())))
             ref = np.sort(eigsh(mat.tocsc(), k=5, sigma=sigma, which="LM", v0=v0)[0])
             assert abs(spec.values[0] - ref[0]) <= 1e-12 * ref[1]
@@ -625,7 +642,6 @@ def test_split_solve_is_bit_identical(solve, monkeypatch):
     split = solve(g, 4)
     # a lone solve spreads every matvec over all the cores
     assert len(seen) > 10 and set(seen) == {(1, 3)}
-    assert split.solver == whole.solver == S.SOLVER_LANCZOS
     assert np.array_equal(split.values, whole.values)
     assert np.array_equal(split.vectors, whole.vectors)
 
@@ -713,7 +729,7 @@ def test_loose_arpack_tolerance_keeps_the_null_pair(name, mode, seed, monkeypatc
 
 
 def test_spectrum_counts_the_operator_products(monkeypatch):
-    # matvecs is the number of products ARPACK asked of the operator, 0 on the dense path
+    # matvecs is the number of products ARPACK asked of the operator, 0 for k = 0
     g = _sparse_path_graph()
     calls = []
     real_eigsh = S.eigsh
@@ -730,7 +746,8 @@ def test_spectrum_counts_the_operator_products(monkeypatch):
         calls.clear()
         spec = solve(g, 4)
         assert spec.matvecs == len(calls) > 0
-        assert solve(path3(), 2).matvecs == 0
+        calls.clear()
+        assert solve(g, 0).matvecs == len(calls) == 0
 
 
 def test_solve_leaves_no_operator_behind(monkeypatch):
@@ -756,13 +773,13 @@ def test_solve_leaves_no_operator_behind(monkeypatch):
 
 
 def test_deflated_value_at_the_shift_becomes_solver_failure(monkeypatch):
-    # a value at sigma = max diag(A) may be the deflated null vector itself
+    # a value at sigma = 4 max diag(A) may be the deflated null vector itself
     g = _sparse_path_graph()
     real_eigsh = S.eigsh
 
     def shifted(*args, **kwargs):
         vals, vecs = real_eigsh(*args, **kwargs)
-        return vals + 2.0 * g.degrees.max(), vecs
+        return vals + 4.0 * g.laplacian().diagonal().max(), vecs
 
     monkeypatch.setattr(S, "eigsh", shifted)
     with pytest.raises(SolverFailure, match="reach the shift"):
