@@ -19,7 +19,7 @@ from scipy import sparse
 
 from . import harness, singular
 from .errors import GraphTooLarge, LapeigError, SolverFailure
-from .graph import NeighborhoodGraph, build_graph, eps_from_rule
+from .graph import METRIC_AMBIENT, METRIC_INTRINSIC, NeighborhoodGraph, build_graph, eps_from_rule
 from .kernels import kernel_constants, parse_kernel
 from .manifolds import PointCloud, make_manifold, parse_density, sample_iid
 from .spectral import MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum
@@ -129,8 +129,11 @@ def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
     if isinstance(m, bool) or not (isinstance(m, (int, float)) and m >= 1
                                    and float(m).is_integer()):
         raise LapeigError(f"graph m must be an integer >= 1, got {m!r}")
-    graph = NeighborhoodGraph(n=n, eps=float(eps), kernel_id=obj["kernel"],
-                              metric=obj.get("metric", "ambient"),
+    metric = obj.get("metric", METRIC_AMBIENT)
+    if metric not in (METRIC_AMBIENT, METRIC_INTRINSIC):
+        raise LapeigError(f"graph metric must be {METRIC_AMBIENT!r} or {METRIC_INTRINSIC!r}, "
+                          f"got {metric!r}")
+    graph = NeighborhoodGraph(n=n, eps=float(eps), kernel_id=obj["kernel"], metric=metric,
                               kernel_matrix=kmat, degrees=degrees)
     return graph, int(m)
 

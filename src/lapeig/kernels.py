@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 MAX_SPHERE_DIM = 10
 VALIDATION_GRID_SIZE = 1000
@@ -66,6 +66,8 @@ class KernelProfile:
         if self.psi_fn is not None:
             out = self.psi_fn(tc)
         else:
+            # imported only where a quadrature runs: scipy.integrate loads scipy.optimize
+            from scipy import integrate
             out = np.reshape([integrate.quad(lambda s: float(self.eta(s)) * s, ti, self.support,
                                              epsabs=1e-10, limit=200)[0]
                               for ti in tc.ravel()], tc.shape)
@@ -159,6 +161,7 @@ def _moment(kernel: KernelProfile, power: int, method: str) -> float:
         return kernel.moment_fn(power)
     if method == "closed":
         raise ValueError(f"no closed-form moments for kernel {kernel.label!r}")
+    from scipy import integrate
     val, _ = integrate.quad(lambda t: float(kernel.eta(t)) * t ** power,
                             0.0, kernel.support, epsabs=1e-12, limit=400)
     return val

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import LevelTooDeep, QuadratureNotConverged
 from .kernels import ball_volume
@@ -202,6 +201,8 @@ def corner_defect_profile(m: int, t: float, method: str = "quadrature") -> float
         if m == 2:
             return -(math.pi / 4.0) * t * (1.0 - t * t)
         raise ValueError("closed form only for m in {1, 2}")
+    # imported only where a quadrature runs: scipy.integrate loads scipy.optimize
+    from scipy import integrate
     p = (m - 1) / 2.0
     first, _ = integrate.quad(lambda s: s * (1.0 - s * s) ** p, t, 1.0,
                               epsabs=1e-10, limit=200)
@@ -219,6 +220,7 @@ def corner_defect_l1_limit(config: SensitivityConfig, m: int) -> float:
     """
     if m < 2:
         raise ValueError("the product construction needs m >= 2")
+    from scipy import integrate
     absint, _ = integrate.quad(lambda t: abs(corner_defect_profile(m, t)), 0.0, 1.0,
                                epsabs=1e-10, limit=200)
     a = config.alpha

@@ -211,11 +211,13 @@ def test_validation_exit_code(tmp_path):
                            (path + [[0, 1, 1.0], [1, 0, 1.0]], 2)):
         graph_path.write_text(json.dumps(dict(header, triplets=triplets)))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == code
-    # eps that is not finite and positive (a rescaled -8, infinities, NaN), and
-    # m that is not an integer >= 1; JSON true is no number for either
+    # eps that is not finite and positive (a rescaled -8, infinities, NaN), m
+    # that is not an integer >= 1 (JSON true is no number for either), and a
+    # metric other than ambient or intrinsic
     for key, value in (("eps", -0.5), ("eps", 0.0), ("eps", math.nan), ("eps", True),
                        ("m", 1.7), ("m", 0), ("m", None), ("m", True), ("n", None),
-                       ("n", 3.5), ("n", "3"), ("n", 0)):
+                       ("n", 3.5), ("n", "3"), ("n", 0),
+                       ("metric", "bogus"), ("metric", ["not", "a", "string"])):
         graph_path.write_text(json.dumps(dict(header, triplets=path, **{key: value})))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
 

@@ -205,3 +205,36 @@ def test_config_validation():
         H.ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         H.ExperimentConfig(mode="sideways")
+
+
+LAZY_QUADRATURE_PROBE = """
+import json, sys
+import numpy as np
+from lapeig import harness, kernels, singular
+for mode in ("unnormalized", "normalized"):
+    harness.run_convergence(harness.ExperimentConfig(
+        manifold="circle", kernel="indicator", mode=mode, n_grid=(256,), trials=2))
+QUAD = ("scipy.integrate", "scipy.optimize")
+before = [name for name in QUAD if name in sys.modules]
+ones = kernels.custom_kernel(np.ones_like, 0.0)
+cfg = singular.SensitivityConfig(alpha=0.3, m2_radius=0.7, eps_grid=(0.2,))
+values = [kernels.sigma_eta(ones, 2), float(ones.psi(0.3)),
+          singular.corner_defect_profile(2, 0.3), singular.corner_defect_l1_limit(cfg, 2)]
+print(json.dumps({"before": before, "after": [name for name in QUAD if name in sys.modules],
+                  "values": [v.hex() for v in values]}))
+"""
+
+
+def test_closed_form_runs_load_no_quadrature_code():
+    # a fresh interpreter, since other tests import scipy.integrate themselves:
+    # a closed-form sweep loads neither scipy.integrate nor the scipy.optimize
+    # it brings, and a custom kernel's moment and psi and the corner defect
+    # still integrate on demand, to the pinned bits
+    out = subprocess.run([sys.executable, "-c", LAZY_QUADRATURE_PROBE], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(H.__file__).parents[1])})
+    got = json.loads(out.stdout)
+    assert got["before"] == []
+    assert got["after"] == ["scipy.integrate", "scipy.optimize"]
+    assert got["values"] == ["0x1.921fb54442d18p-1", "0x1.d1eb851eb851ep-2",
+                             "-0x1.b71e877aab44ep-3", "0x1.b262a82ac64bap+3"]
