@@ -63,7 +63,10 @@ def _json_int(obj: dict, key: str, low: int, high: int | None = None) -> int:
     return val
 
 
-def _cloud_from_json(obj: dict) -> PointCloud:
+def _cloud_from_json(obj) -> PointCloud:
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str)
+                                          for k in ("manifold", "density"))):
+        raise LapeigError("a cloud must be a JSON object with string manifold and density")
     model = make_manifold(obj["manifold"], parse_density(obj["density"]))
     n = _json_int(obj, "n", 1)
     params = np.atleast_2d(np.asarray(obj["params_intrinsic"], dtype=float).T).T  # (n,) -> (n, 1)
@@ -98,7 +101,9 @@ def _graph_to_json(graph: NeighborhoodGraph, m: int) -> dict:
     }
 
 
-def _graph_from_json(obj: dict) -> tuple[NeighborhoodGraph, int]:
+def _graph_from_json(obj) -> tuple[NeighborhoodGraph, int]:
+    if not (isinstance(obj, dict) and isinstance(obj.get("kernel"), str)):
+        raise LapeigError("a graph must be a JSON object with a string kernel")
     trips = np.asarray(obj["triplets"], dtype=float)
     n = _json_int(obj, "n", 1)
     if trips.ndim != 2 or trips.shape[1] != 3:

@@ -186,46 +186,39 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     return result
 
 
-def corner_defect_profile(m: int, t: float, method: str = "quadrature") -> float:
+def corner_defect_profile(m: int, t: float) -> float:
     """Radial profile whose absolute integral gives the corner L1 defect.
 
     Defined for t in [0, 1] as the difference between the full half-disc
-    moment and the corner-shadow moment; vanishes at both endpoints.
-    Closed forms exist for m in {1, 2} and are used when method="closed".
+    moment and the corner-shadow moment; vanishes at both endpoints.  In
+    closed form h_m(t) = -c_m t (1 - t^2)^(m/2), with
+    c_m = sqrt(pi) Gamma((m+1)/2) / (2 Gamma(m/2 + 1)) taken by Wallis'
+    recursion c_m = c_(m-2) (m-1)/m from the exact c_1 = 1 and c_2 = pi/4.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if method == "closed":
-        if m == 1:
-            return -t * math.sqrt(1.0 - t * t)
-        if m == 2:
-            return -(math.pi / 4.0) * t * (1.0 - t * t)
-        raise ValueError("closed form only for m in {1, 2}")
-    # imported only where a quadrature runs: scipy.integrate loads scipy.optimize
-    from scipy import integrate
-    p = (m - 1) / 2.0
-    first, _ = integrate.quad(lambda s: s * (1.0 - s * s) ** p, t, 1.0,
-                              epsabs=1e-10, limit=200)
-    top = math.sqrt(max(0.0, 1.0 - t * t))
-    second, _ = integrate.quad(lambda s: (s + t) * max(0.0, 1.0 - s * s - t * t) ** p,
-                               0.0, top, epsabs=1e-10, limit=200)
-    return first - second
+    c = 1.0 if m % 2 else math.pi / 4.0
+    for k in range(m, 2, -2):
+        c *= (k - 1) / k
+    return -c * t * (1.0 - t * t) ** (m / 2.0)
 
 
 def corner_defect_l1_limit(config: SensitivityConfig, m: int) -> float:
     """Limit of the L1 deviation of the ball-average operator from (sigma/2) Laplacian.
 
     Equals 2 pi (|sin a| + |cos a|) * Vol(M2) * Vol(B^(m-1)) * int_0^1 |h_m|,
-    with Vol(M2) = 2 pi r for the circle factor.  Strictly positive.
+    with Vol(M2) = 2 pi r for the circle factor and int_0^1 |h_m| = c_m / (m + 2).
+    As Vol(B^(m-1)) c_m = Vol(B^m) / 2, that is
+    2 pi (|sin a| + |cos a|) * 2 pi r * Vol(B^m) / (2 (m + 2)), which is
+    pi^3 / 2 at m = 2, a = 0 and r = 1.  Strictly positive.
     """
-    if m < 2:
-        raise ValueError("the product construction needs m >= 2")
-    from scipy import integrate
-    absint, _ = integrate.quad(lambda t: abs(corner_defect_profile(m, t)), 0.0, 1.0,
-                               epsabs=1e-10, limit=200)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
     a = config.alpha
     return (2.0 * math.pi * (abs(math.sin(a)) + abs(math.cos(a)))
-            * (2.0 * math.pi * config.m2_radius) * ball_volume(m - 1) * absint)
+            * (2.0 * math.pi * config.m2_radius) * ball_volume(m) / (2 * (m + 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ def test_sensitivity_command(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["eps", "l1_deviation", "limit_rhs"]
     assert len(rows) == 3
-    assert float(rows[1][2]) == pytest.approx(math.pi ** 3 / 2.0, rel=1e-9)
+    # the closed form at alpha = 0, r = 1, m = 2, to the bit
+    assert float(rows[1][2]) == math.pi ** 3 / 2.0
 
 
 def test_validation_exit_code(tmp_path):
@@ -181,12 +182,14 @@ def test_validation_exit_code(tmp_path):
         coords = [list(x) for x in cloud[key]]
         coords[5][0] = bad
         non_finite.append(dict(cloud, **{key: coords}))
-    # also n and seed that are null, fractional, text or out of range
+    # also n and seed that are null, fractional, text or out of range, a
+    # manifold or density that is no string, and a top level that is no object
     for bad in (*non_finite, dict(cloud, n=60), dict(cloud, params_intrinsic=params2),
                 dict(cloud, points_ambient=points3), dict(cloud, n=None),
                 dict(cloud, n=50.5), dict(cloud, n="50"), dict(cloud, seed=None),
                 dict(cloud, seed=1.5), dict(cloud, seed="1"), dict(cloud, seed=-1),
-                dict(cloud, seed=2 ** 64), dict(cloud, seed=True)):
+                dict(cloud, seed=2 ** 64), dict(cloud, seed=True),
+                dict(cloud, manifold=["circle"]), dict(cloud, density=3), [1, 2]):
         cloud_path.write_text(json.dumps(bad))
         assert run(["graph", "--in", str(cloud_path), "--eps", "1", "--metric", "intrinsic",
                     "--out", str(tmp_path / "g.json")]) == 2
@@ -212,14 +215,18 @@ def test_validation_exit_code(tmp_path):
         graph_path.write_text(json.dumps(dict(header, triplets=triplets)))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == code
     # eps that is not finite and positive (a rescaled -8, infinities, NaN), m
-    # that is not an integer >= 1 (JSON true is no number for either), and a
-    # metric other than ambient or intrinsic
+    # that is not an integer >= 1 (JSON true is no number for either), a metric
+    # other than ambient or intrinsic, a kernel that is no string, and then a
+    # top level that is no object
     for key, value in (("eps", -0.5), ("eps", 0.0), ("eps", math.nan), ("eps", True),
                        ("m", 1.7), ("m", 0), ("m", None), ("m", True), ("n", None),
                        ("n", 3.5), ("n", "3"), ("n", 0),
-                       ("metric", "bogus"), ("metric", ["not", "a", "string"])):
+                       ("metric", "bogus"), ("metric", ["not", "a", "string"]),
+                       ("kernel", ["x"])):
         graph_path.write_text(json.dumps(dict(header, triplets=path, **{key: value})))
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
+    graph_path.write_text(json.dumps([1, 2]))
+    assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
 
 
 def test_eps_rule_forms(tmp_path):

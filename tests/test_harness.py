@@ -214,12 +214,14 @@ from lapeig import harness, kernels, singular
 for mode in ("unnormalized", "normalized"):
     harness.run_convergence(harness.ExperimentConfig(
         manifold="circle", kernel="indicator", mode=mode, n_grid=(256,), trials=2))
+cfg = singular.SensitivityConfig(alpha=0.3, m2_radius=0.7, eps_grid=(0.2,))
+harness.corner_l1_sweep(cfg, nodes_per_face=8)
+harness.face_midpoint_deviations(cfg)
+corner = [singular.corner_defect_profile(2, 0.3), singular.corner_defect_l1_limit(cfg, 2)]
 QUAD = ("scipy.integrate", "scipy.optimize")
 before = [name for name in QUAD if name in sys.modules]
 ones = kernels.custom_kernel(np.ones_like, 0.0)
-cfg = singular.SensitivityConfig(alpha=0.3, m2_radius=0.7, eps_grid=(0.2,))
-values = [kernels.sigma_eta(ones, 2), float(ones.psi(0.3)),
-          singular.corner_defect_profile(2, 0.3), singular.corner_defect_l1_limit(cfg, 2)]
+values = [kernels.sigma_eta(ones, 2), float(ones.psi(0.3)), *corner]
 print(json.dumps({"before": before, "after": [name for name in QUAD if name in sys.modules],
                   "values": [v.hex() for v in values]}))
 """
@@ -227,9 +229,10 @@ print(json.dumps({"before": before, "after": [name for name in QUAD if name in s
 
 def test_closed_form_runs_load_no_quadrature_code():
     # a fresh interpreter, since other tests import scipy.integrate themselves:
-    # a closed-form sweep loads neither scipy.integrate nor the scipy.optimize
-    # it brings, and a custom kernel's moment and psi and the corner defect
-    # still integrate on demand, to the pinned bits
+    # a closed-form sweep, the corner sweep and the corner defect's closed
+    # forms load neither scipy.integrate nor the scipy.optimize it brings, and
+    # a custom kernel's moment and psi still integrate on demand; every value
+    # is pinned to the bit
     out = subprocess.run([sys.executable, "-c", LAZY_QUADRATURE_PROBE], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(H.__file__).parents[1])})
@@ -237,4 +240,4 @@ def test_closed_form_runs_load_no_quadrature_code():
     assert got["before"] == []
     assert got["after"] == ["scipy.integrate", "scipy.optimize"]
     assert got["values"] == ["0x1.921fb54442d18p-1", "0x1.d1eb851eb851ep-2",
-                             "-0x1.b71e877aab44ep-3", "0x1.b262a82ac64bap+3"]
+                             "-0x1.b71e877aab451p-3", "0x1.b262a82ac64c3p+3"]

@@ -250,29 +250,64 @@ def test_sensitivity_batch_quadrature_guard(monkeypatch):
         S.sensitivity_operator(CFG, h, pts, 0.05, rtol=1e-12, atol=1e-12)
 
 
+def _quad_profile(m, t):
+    """The corner-defect profile as its defining difference of two moments, by
+    adaptive quadrature: the full half-disc moment int_t^1 s (1 - s^2)^p and
+    the corner-shadow moment int_0^sqrt(1 - t^2) (s + t) (1 - s^2 - t^2)^p,
+    p = (m - 1) / 2."""
+    p = (m - 1) / 2.0
+    first, _ = integrate.quad(lambda s: s * (1.0 - s * s) ** p, t, 1.0,
+                              epsabs=1e-13, limit=200)
+    second, _ = integrate.quad(lambda s: (s + t) * max(0.0, 1.0 - s * s - t * t) ** p,
+                               0.0, math.sqrt(1.0 - t * t), epsabs=1e-13, limit=200)
+    return first - second
+
+
 def test_corner_defect_profile():
     for m in (1, 2, 3):
-        assert S.corner_defect_profile(m, 0.0) == pytest.approx(0.0, abs=1e-10)
-        assert S.corner_defect_profile(m, 1.0) == pytest.approx(0.0, abs=1e-10)
-    assert S.corner_defect_profile(1, 0.5, "closed") == pytest.approx(
-        -0.5 * math.sqrt(0.75), abs=1e-12)
-    for m in (1, 2):
-        for t in (0.2, 0.5, 0.8):
-            assert S.corner_defect_profile(m, t) == pytest.approx(
-                S.corner_defect_profile(m, t, "closed"), abs=1e-9)
+        assert S.corner_defect_profile(m, 0.0) == 0.0
+        assert S.corner_defect_profile(m, 1.0) == 0.0
+    # c_1 = 1 and c_2 = pi/4 exactly
+    assert S.corner_defect_profile(1, 0.5) == -0.5 * math.sqrt(0.75)
+    assert S.corner_defect_profile(2, 0.3) == -(math.pi / 4.0) * 0.3 * (1.0 - 0.3 * 0.3)
+    for m in range(1, 7):
+        for t in (0.05, 0.2, 0.5, 0.8, 0.97):
+            assert S.corner_defect_profile(m, t) == pytest.approx(_quad_profile(m, t),
+                                                                  rel=1e-10, abs=1e-12)
+
+
+def test_corner_defect_refuses_meaningless_m():
+    for m in (0, -1, 1.5, 2.0, True, None, "2"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            S.corner_defect_profile(m, 0.5)
+    for m in (1, 0, 2.5, True):
+        with pytest.raises(ValueError, match="m must be an integer >= 2"):
+            S.corner_defect_l1_limit(CFG, m)
+    with pytest.raises(ValueError, match="t must lie"):
+        S.corner_defect_profile(2, 1.5)
+    assert S.corner_defect_profile(np.int64(3), 0.5) == S.corner_defect_profile(3, 0.5)
 
 
 def test_corner_defect_l1_limit():
-    # alpha = 0, r = 1, m = 2: the closed forms collapse to pi^3 / 2
+    # alpha = 0, r = 1, m = 2: the closed form is pi^3 / 2 to the bit
     val = S.corner_defect_l1_limit(CFG, 2)
-    assert val == pytest.approx(math.pi ** 3 / 2.0, rel=1e-9)
+    assert val == math.pi ** 3 / 2.0
     rotated = S.SensitivityConfig(alpha=math.pi / 4.0, m2_radius=1.0,
                                   eps_grid=(0.2, 0.1))
     assert S.corner_defect_l1_limit(rotated, 2) == pytest.approx(
-        math.sqrt(2.0) * val, rel=1e-9)
-    for alpha in (0.0, 0.3, 1.0, 2.5):
-        cfg = S.SensitivityConfig(alpha=alpha, m2_radius=0.7, eps_grid=(0.2, 0.1))
-        assert S.corner_defect_l1_limit(cfg, 2) > 0.0
+        math.sqrt(2.0) * val, rel=1e-14)
+    # against 2 pi (|sin a| + |cos a|) 2 pi r Vol(B^(m-1)) int_0^1 |h_m| with the
+    # profile's defining moments and the outer integral all by quadrature
+    for m in (2, 3, 4, 5):
+        absint, _ = integrate.quad(lambda t: abs(_quad_profile(m, t)), 0.0, 1.0,
+                                   epsabs=1e-13, limit=200)
+        for alpha in (0.0, 0.3, 1.0, 2.5):
+            for r in (0.7, 1.0, 2.0):
+                cfg = S.SensitivityConfig(alpha=alpha, m2_radius=r, eps_grid=(0.2, 0.1))
+                want = (2.0 * math.pi * (abs(math.sin(alpha)) + abs(math.cos(alpha)))
+                        * 2.0 * math.pi * r * K.ball_volume(m - 1) * absint)
+                assert S.corner_defect_l1_limit(cfg, m) == pytest.approx(want, rel=1e-10)
+                assert S.corner_defect_l1_limit(cfg, m) > 0.0
 
 
 # -- dyadic bump construction ----------------------------------------------
