@@ -231,7 +231,12 @@ def _cmd_interp(args) -> int:
     with open(args.cloud) as fh:
         cloud = _cloud_from_json(json.load(fh))
     with open(args.u) as fh:
-        u = np.asarray(json.load(fh), dtype=float)
+        u = json.load(fh)
+    # JSON true and false load as ints, and are no numbers here
+    if not (isinstance(u, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                        for v in u)):
+        raise LapeigError("--u must hold a JSON list of numbers, one per sample")
+    u = np.asarray(u, dtype=float)
     kernel = parse_kernel(args.kernel)
     eps = eps_from_rule(args.eps, cloud.n, cloud.model.m)
     ctx = InterpolationContext(cloud=cloud, kernel=kernel, eps=eps)

@@ -11,12 +11,14 @@ a dense set, giving a product surface with dense singularities.
 from __future__ import annotations
 
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from ._workers import CORES as _CORES, pool as _pool
 from .errors import LevelTooDeep, QuadratureNotConverged
 from .kernels import ball_volume
 
@@ -27,15 +29,20 @@ MAX_DYADIC_LEVEL = 24
 # Square boundary chart
 # ---------------------------------------------------------------------------
 
-def _boundary_xy(s):
+def _boundary_xy(s, x=None, y=None, tmp=None):
     """Point (x, y) of the unit-square boundary at arc length s in [0, 4].
 
     Branch free: each coordinate is a difference of two clipped ramps.
     The four faces run counterclockwise from (0, 0); s = 0 and s = 4 both
-    give (0, 0).
+    give (0, 0).  x, y and tmp are optional work buffers of s's shape that
+    receive x, y and the last ramp; tmp may be s itself, which the last
+    ramp then overwrites.
     """
-    x = np.clip(s, 0.0, 1.0) - np.clip(s - 2.0, 0.0, 1.0)
-    y = np.clip(s - 1.0, 0.0, 1.0) - np.clip(s - 3.0, 0.0, 1.0)
+    # y holds x's second ramp until y's own first ramp replaces it
+    x = np.clip(s, 0.0, 1.0, out=x)
+    x -= np.clip(np.subtract(s, 2.0, out=y), 0.0, 1.0, out=y)
+    y = np.clip(np.subtract(s, 1.0, out=y), 0.0, 1.0, out=y)
+    y -= np.clip(np.subtract(s, 3.0, out=tmp), 0.0, 1.0, out=tmp)
     return x, y
 
 
@@ -61,13 +68,13 @@ def circle_eigenfunction(theta, alpha: float = 0.0):
 
 # The corner sweep places about 24/eps nodes on each face and runs one
 # adaptive quadrature per node, so its time grows like 1/eps (about
-# 0.04/eps seconds single-threaded on a 2-core x86 VM, so 4 s at this eps);
-# far below this eps it runs for minutes.
+# 0.022/eps seconds on one core of a 2-core x86 VM and 0.014/eps on both,
+# so 2.2 s and 1.4 s at this eps); far below this eps it runs for minutes.
 MIN_SENSITIVITY_EPS = 0.01
 MAX_QUAD_DOUBLINGS = 12
-# float64 entries per temporary of one quadrature block: a block of corner
-# nodes then stays in cache
-QUAD_BLOCK_ELEMENTS = 2 ** 13
+# float64 entries per work buffer of one quadrature block: the buffers of a
+# block of corner nodes then stay in cache
+QUAD_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -103,36 +110,57 @@ class SensitivityConfig:
 
 
 def _ball_averages(config: SensitivityConfig, h: Callable, pts: np.ndarray, eps: float,
-                   n_nodes: int) -> np.ndarray:
-    """Ball averages at the chart points pts (B, 2), n_nodes midpoints along the square.
+                   w: float, offsets: np.ndarray, work: np.ndarray,
+                   flags: np.ndarray) -> np.ndarray:
+    """Ball averages at the chart points pts (B, 2), N = offsets.size midpoints
+    s0 - w + offsets along the square.
 
     The circle factor is integrated exactly: the ball's slice at square
     chord c has circle arc width 4 r arcsin(sqrt(eps^2 - c^2) / 2r).  Row b
     of every array belongs to pts[b]; the arithmetic per row is that of a
-    single point, so each value does not depend on the block.
+    single point, so each value does not depend on the block.  Every
+    per-node array is written into the rows of ``work`` (4 x at least B N
+    float64) and ``flags`` (at least B N bools), so that a block allocates
+    only what h returns.
     """
     r = config.m2_radius
+    shape, size = (len(pts), offsets.size), len(pts) * offsets.size
+    s, theta1, x, y = (row[:size].reshape(shape) for row in work)
+    flag = flags[:size].reshape(shape)
     t1, t2 = pts[:, :1], pts[:, 1:]
     s0 = np.mod(2.0 * t1 / math.pi, 4.0)
-    w = min(2.0, 1.5 * eps)
-    s = s0 + (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w - w
-    hs = 2.0 * w / n_nodes
+    np.add(s0, offsets, out=s)
+    s -= w
     # s lies in [-2, 6): wrap it into [0, 4] as np.mod(s, 4) would
-    s[s >= 4.0] -= 4.0
-    s[s < 0.0] += 4.0
-    theta1 = s * math.pi / 2.0
+    np.subtract(s, 4.0, out=s, where=np.greater_equal(s, 4.0, out=flag))
+    np.add(s, 4.0, out=s, where=np.less(s, 0.0, out=flag))
+    np.multiply(s, math.pi, out=theta1)
+    theta1 /= 2.0
     # the chart round trip of square_boundary_point; theta1 <= 2 pi, and
     # the only wrapped angle, 2 pi, maps to the same corner (0, 0)
-    x, y = _boundary_xy(2.0 * theta1 / math.pi)
+    np.multiply(2.0, theta1, out=s)
+    s /= math.pi
+    _boundary_xy(s, x, y, tmp=s)
     pb = square_boundary_point(s0 * math.pi / 2.0)
     x -= pb[..., 0]
     y -= pb[..., 1]
-    c1 = np.sqrt(x * x + y * y)
-    rho1 = np.sqrt(np.maximum(eps * eps - c1 * c1, 0.0))
-    width = 4.0 * r * np.arcsin(np.minimum(rho1 / (2.0 * r), 1.0))
-    width = np.minimum(width, 2.0 * math.pi * r)
-    diff = h(t1, t2) - h(theta1, t2)
-    return np.sum(diff * width, axis=1) * hs / eps ** 4
+    # the chord c1 = |(x, y)| into x, then the arc width into y
+    x *= x
+    y *= y
+    x += y
+    c1 = np.sqrt(x, out=x)
+    width = np.multiply(c1, c1, out=y)
+    np.subtract(eps * eps, width, out=width)
+    np.maximum(width, 0.0, out=width)
+    np.sqrt(width, out=width)
+    width /= 2.0 * r
+    np.minimum(width, 1.0, out=width)
+    np.arcsin(width, out=width)
+    np.multiply(4.0 * r, width, out=width)
+    np.minimum(width, 2.0 * math.pi * r, out=width)
+    diff = np.subtract(h(t1, t2), h(theta1, t2), out=x)
+    diff *= width
+    return np.sum(diff, axis=1) * (2.0 * w / offsets.size) / eps ** 4
 
 
 def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
@@ -143,28 +171,48 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     with the product arc-length measure.  ``h`` takes chart angles
     (theta1, theta2) as broadcasting arrays and must not depend on
     theta2: the circle factor is integrated exactly and only the square
-    factor is discretized, by the midpoint rule.  ``z0`` is one chart
-    point or an (N, 2) array of them; the result has one value per point.
-    Each point's value is accepted once doubling its resolution
+    factor is discretized, by the midpoint rule.  ``z0`` is one finite
+    chart point or an (N, 2) array of them; the result has one value per
+    point.  Each point's value is accepted once doubling its resolution
     changes it by less than ``rtol`` relatively (or ``atol``) within
     MAX_QUAD_DOUBLINGS doublings; if any point is still moving,
     QuadratureNotConverged is raised.  The points are evaluated in blocks
-    of about QUAD_BLOCK_ELEMENTS nodes, and every value is bit for bit the
-    value of a call with that point alone.
+    of about QUAD_BLOCK_ELEMENTS nodes, in one contiguous share of blocks
+    per core: ``h`` is called from the package's worker threads, so it must
+    be thread-safe, as any numpy expression is.  Every value is bit for
+    bit the value of a call with that point alone, whatever the core
+    count, and the blocks' work buffers are freed before the call returns.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
     batch = np.atleast_2d(np.asarray(z0, dtype=float))
     if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("z0 must be one chart point (theta1, theta2) or an (N, 2) array")
+    if not np.all(np.isfinite(batch)):
+        raise ValueError("every z0 coordinate must be finite")
+    # the half-width of the node window around each point
+    w = min(2.0, 1.5 * eps)
 
-    def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
-        step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
+    def share(idx: np.ndarray, offsets: np.ndarray, step: int) -> np.ndarray:
+        size = min(step, idx.size) * offsets.size
+        work, flags = np.empty((4, size)), np.empty(size, dtype=bool)
         out = np.empty(idx.size)
         for lo in range(0, idx.size, step):
-            out[lo:lo + step] = _ball_averages(config, h, batch[idx[lo:lo + step]], eps,
-                                               n_nodes)
+            out[lo:lo + step] = _ball_averages(config, h, batch[idx[lo:lo + step]], eps, w,
+                                               offsets, work, flags)
         return out
+
+    def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
+        offsets = (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w
+        step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
+        # the caller's thread takes the first share, the worker pool the others
+        parts = np.array_split(idx, max(1, min(_CORES, -(-idx.size // step))))
+        futures = [_pool.submit(share, part, offsets, step) for part in parts[1:]]
+        try:
+            first = share(parts[0], offsets, step)
+        finally:
+            wait(futures)
+        return np.concatenate([first] + [f.result() for f in futures])
 
     n = max(64, config.quad_resolution)
     todo = np.arange(len(batch))

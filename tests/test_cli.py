@@ -227,6 +227,15 @@ def test_validation_exit_code(tmp_path):
         assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
     graph_path.write_text(json.dumps([1, 2]))
     assert run(["spectrum", "--in", str(graph_path), "--k", "1"]) == 2
+    # interp values that are no JSON list of numbers: an object, text, a JSON
+    # true, nested lists; an object ended in a TypeError with exit 1
+    assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", "1",
+                "--out", str(cloud_path)]) == 0
+    values_path = tmp_path / "u.json"
+    for bad in ({"a": 1}, ["x"] * 50, [1.0] * 49 + [True], [[1.0]] * 50, "1"):
+        values_path.write_text(json.dumps(bad))
+        assert run(["interp", "--cloud", str(cloud_path), "--u", str(values_path),
+                    "--eps", "auto:1", "--out", str(tmp_path / "i.csv")]) == 2
 
 
 def test_eps_rule_forms(tmp_path):

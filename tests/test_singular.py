@@ -1,4 +1,7 @@
+import gc
 import math
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -232,10 +235,20 @@ def test_sensitivity_matches_nested_quad_reference():
 
 
 def test_sensitivity_point_shapes():
-    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
-    for bad in ((0.1, 0.2, 0.3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+    calls = []
+
+    def h(t1, t2):
+        calls.append(np.shape(t1))
+        return np.sin(np.asarray(t1, dtype=float))
+
+    # a non-finite coordinate once doubled the quadrature 12 times and then
+    # reported the point as still moving; it is refused before h is called
+    for bad in ((0.1, 0.2, 0.3), np.zeros((4, 3)), np.zeros((2, 2, 2)),
+                (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.nan),
+                [[0.1, 0.0], [0.2, math.inf]]):
         with pytest.raises(ValueError, match="z0"):
             S.sensitivity_operator(CFG, h, bad, 0.1)
+    assert not calls
     assert S.sensitivity_operator(CFG, h, np.zeros((0, 2)), 0.1).shape == (0,)
 
 
@@ -248,6 +261,75 @@ def test_sensitivity_batch_quadrature_guard(monkeypatch):
     assert abs(S.sensitivity_operator(CFG, h, pts[0], 0.05, rtol=1e-12, atol=1e-12)) < 1e-12
     with pytest.raises(QuadratureNotConverged, match="1 of 2 points"):
         S.sensitivity_operator(CFG, h, pts, 0.05, rtol=1e-12, atol=1e-12)
+
+
+def _spread_points(eps):
+    """The corner probe points and 97 points on each face, as (theta1, 0) rows."""
+    faces = (np.arange(4)[:, None] + (np.arange(97) + 0.3) / 97).ravel() * math.pi / 2.0
+    theta1 = np.concatenate([_corner_probe_points(eps), faces])
+    return np.stack([theta1, np.zeros_like(theta1)], axis=1)
+
+
+def test_quadrature_bits_do_not_depend_on_the_core_count(monkeypatch):
+    # 401 points at 256 nodes fill four blocks of 128 rows; at 4 cores the
+    # shares are 101 or 100 rows, so a block no longer lines up with a share
+    eps = 0.1
+    pts = _spread_points(eps)
+    threads = set()
+
+    def h(t1, t2):
+        threads.add(threading.current_thread().name)
+        return np.sin(np.asarray(t1, dtype=float) - 0.3)
+
+    got = {}
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(S, "_CORES", cores)
+        threads.clear()
+        got[cores] = S.sensitivity_operator(CFG, h, pts, eps, rtol=1e-4, atol=1e-7)
+        assert (threads == {threading.current_thread().name}) == (cores == 1)
+        assert all(t == threading.current_thread().name or t.startswith("lapeig-worker")
+                   for t in threads)
+    assert got[1].tobytes() == got[2].tobytes() == got[4].tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, None], ids=["one-core", "all-cores"])
+def test_corner_sweep_bits(cores, monkeypatch):
+    # the benchmark's corner grid; the values are those of the sweep before the
+    # blocks were spread over the cores and written into work buffers
+    if cores is not None:
+        monkeypatch.setattr(S, "_CORES", cores)
+    cfg = S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2, 0.1, 0.05),
+                              quad_resolution=256)
+    rows = H.corner_l1_sweep(cfg)
+    assert [r.l1_deviation.hex() for r in rows] == [
+        "0x1.03276fc605e92p+4", "0x1.fc65588dc8115p+3", "0x1.f6971747d01f0p+3"]
+
+
+def test_quadrature_leaves_no_work_buffer_behind(monkeypatch):
+    # the buffers are freed by reference count when each share of a level
+    # returns: a point that converges slowly must not keep 2^20-entry rows
+    monkeypatch.setattr(S, "_CORES", 2)
+    refs = []
+    real = S._ball_averages
+
+    def recording(*args):
+        refs.extend(weakref.ref(buf) for buf in args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(S, "_ball_averages", recording)
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float))
+    pts = _spread_points(0.1)
+    gc.disable()
+    try:
+        S.sensitivity_operator(CFG, h, pts, 0.1)
+        live = [ref for ref in refs if ref() is not None]
+        monkeypatch.setattr(S, "MAX_QUAD_DOUBLINGS", 2)
+        with pytest.raises(QuadratureNotConverged):
+            S.sensitivity_operator(CFG, h, pts, 0.1, rtol=1e-12, atol=1e-12)
+        live += [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) > 8 and not live
 
 
 def _quad_profile(m, t):
