@@ -11,14 +11,12 @@ a dense set, giving a product surface with dense singularities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from ._workers import CORES as _CORES, pool as _pool
 from .errors import LevelTooDeep, QuadratureNotConverged
 from .kernels import ball_volume
 
@@ -68,8 +66,8 @@ def circle_eigenfunction(theta, alpha: float = 0.0):
 
 # The corner sweep places about 24/eps nodes on each face and runs one
 # adaptive quadrature per node, so its time grows like 1/eps (about
-# 0.022/eps seconds on one core of a 2-core x86 VM and 0.014/eps on both,
-# so 2.2 s and 1.4 s at this eps); far below this eps it runs for minutes.
+# 0.022/eps seconds on a 2-core x86 VM, so 2.2 s at this eps); far below
+# this eps it runs for minutes.
 MIN_SENSITIVITY_EPS = 0.01
 MAX_QUAD_DOUBLINGS = 12
 # float64 entries per work buffer of one quadrature block: the buffers of a
@@ -177,11 +175,9 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     changes it by less than ``rtol`` relatively (or ``atol``) within
     MAX_QUAD_DOUBLINGS doublings; if any point is still moving,
     QuadratureNotConverged is raised.  The points are evaluated in blocks
-    of about QUAD_BLOCK_ELEMENTS nodes, in one contiguous share of blocks
-    per core: ``h`` is called from the package's worker threads, so it must
-    be thread-safe, as any numpy expression is.  Every value is bit for
-    bit the value of a call with that point alone, whatever the core
-    count, and the blocks' work buffers are freed before the call returns.
+    of about QUAD_BLOCK_ELEMENTS nodes, in the calling thread; every value
+    is bit for bit the value of a call with that point alone, and the
+    blocks' work buffers are freed before the call returns.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
@@ -193,26 +189,16 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     # the half-width of the node window around each point
     w = min(2.0, 1.5 * eps)
 
-    def share(idx: np.ndarray, offsets: np.ndarray, step: int) -> np.ndarray:
-        size = min(step, idx.size) * offsets.size
-        work, flags = np.empty((4, size)), np.empty(size, dtype=bool)
+    def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
+        offsets = (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w
+        step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
+        work = np.empty((4, min(step, idx.size) * n_nodes))
+        flags = np.empty(work.shape[1], dtype=bool)
         out = np.empty(idx.size)
         for lo in range(0, idx.size, step):
             out[lo:lo + step] = _ball_averages(config, h, batch[idx[lo:lo + step]], eps, w,
                                                offsets, work, flags)
         return out
-
-    def values(idx: np.ndarray, n_nodes: int) -> np.ndarray:
-        offsets = (np.arange(n_nodes) + 0.5) / n_nodes * 2.0 * w
-        step = max(1, QUAD_BLOCK_ELEMENTS // n_nodes)
-        # the caller's thread takes the first share, the worker pool the others
-        parts = np.array_split(idx, max(1, min(_CORES, -(-idx.size // step))))
-        futures = [_pool.submit(share, part, offsets, step) for part in parts[1:]]
-        try:
-            first = share(parts[0], offsets, step)
-        finally:
-            wait(futures)
-        return np.concatenate([first] + [f.result() for f in futures])
 
     n = max(64, config.quad_resolution)
     todo = np.arange(len(batch))

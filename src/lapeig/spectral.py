@@ -22,7 +22,9 @@ grid modulus, since the grid can only underestimate a supremum.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -31,7 +33,6 @@ import scipy.linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._workers import CORES as _CORES, pool as _pool
 from .errors import (DegenerateBasis, DisconnectedGraph, FExceedsOne, GapViolation,
                      KTooLarge, SolverFailure, SpanTooLarge)
 from .graph import NeighborhoodGraph, connectivity_report
@@ -72,7 +73,10 @@ class Spectrum:
     weights: np.ndarray | None = None
 
 
+_CORES = len(os.sched_getaffinity(0))
 _lock = threading.Lock()
+# the block-product workers; an executor starts its threads on its first submit
+_pool = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="lapeig-matvec")
 _solves_in_flight = 0
 
 

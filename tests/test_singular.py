@@ -1,6 +1,5 @@
 import gc
 import math
-import threading
 import weakref
 from fractions import Fraction
 
@@ -270,34 +269,23 @@ def _spread_points(eps):
     return np.stack([theta1, np.zeros_like(theta1)], axis=1)
 
 
-def test_quadrature_bits_do_not_depend_on_the_core_count(monkeypatch):
-    # 401 points at 256 nodes fill four blocks of 128 rows; at 4 cores the
-    # shares are 101 or 100 rows, so a block no longer lines up with a share
+def test_quadrature_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # 401 points over the four faces and the corners: at 256 nodes one block
+    # of 2^20 entries holds them all, 2^15 cuts them into four blocks, and
+    # 2^10 into blocks of four points at most
     eps = 0.1
     pts = _spread_points(eps)
-    threads = set()
-
-    def h(t1, t2):
-        threads.add(threading.current_thread().name)
-        return np.sin(np.asarray(t1, dtype=float) - 0.3)
-
+    h = lambda t1, t2: np.sin(np.asarray(t1, dtype=float) - 0.3)
     got = {}
-    for cores in (1, 2, 4):
-        monkeypatch.setattr(S, "_CORES", cores)
-        threads.clear()
-        got[cores] = S.sensitivity_operator(CFG, h, pts, eps, rtol=1e-4, atol=1e-7)
-        assert (threads == {threading.current_thread().name}) == (cores == 1)
-        assert all(t == threading.current_thread().name or t.startswith("lapeig-worker")
-                   for t in threads)
-    assert got[1].tobytes() == got[2].tobytes() == got[4].tobytes()
+    for elements in (2 ** 10, 2 ** 15, 2 ** 20):
+        monkeypatch.setattr(S, "QUAD_BLOCK_ELEMENTS", elements)
+        got[elements] = S.sensitivity_operator(CFG, h, pts, eps, rtol=1e-4, atol=1e-7)
+    assert got[2 ** 10].tobytes() == got[2 ** 15].tobytes() == got[2 ** 20].tobytes()
 
 
-@pytest.mark.parametrize("cores", [1, None], ids=["one-core", "all-cores"])
-def test_corner_sweep_bits(cores, monkeypatch):
-    # the benchmark's corner grid; the values are those of the sweep before the
-    # blocks were spread over the cores and written into work buffers
-    if cores is not None:
-        monkeypatch.setattr(S, "_CORES", cores)
+def test_corner_sweep_bits():
+    # the benchmark's corner grid; the values are those of the sweep before
+    # the blocks were written into work buffers
     cfg = S.SensitivityConfig(alpha=0.0, m2_radius=1.0, eps_grid=(0.2, 0.1, 0.05),
                               quad_resolution=256)
     rows = H.corner_l1_sweep(cfg)
@@ -306,9 +294,8 @@ def test_corner_sweep_bits(cores, monkeypatch):
 
 
 def test_quadrature_leaves_no_work_buffer_behind(monkeypatch):
-    # the buffers are freed by reference count when each share of a level
-    # returns: a point that converges slowly must not keep 2^20-entry rows
-    monkeypatch.setattr(S, "_CORES", 2)
+    # the buffers are freed by reference count when each level returns: a
+    # point that converges slowly must not keep 2^20-entry rows
     refs = []
     real = S._ball_averages
 

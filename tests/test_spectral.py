@@ -690,7 +690,7 @@ def test_block_worker_failure_becomes_solver_failure(exc, monkeypatch):
     monkeypatch.setattr(S, "_row_blocks", lambda mat, count: real(mat, count)[:1] + [FailingBlock()])
     with pytest.raises(SolverFailure, match=type(exc).__name__):
         S.unnormalized_spectrum(g, 4)
-    assert threads and threads[0].startswith("lapeig-worker")
+    assert threads and threads[0].startswith("lapeig-matvec")
     assert S._solves_in_flight == 0
     # the next solve runs on the same pool
     pool = S._pool
