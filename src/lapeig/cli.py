@@ -21,7 +21,7 @@ from . import harness, singular
 from .errors import GraphTooLarge, LapeigError, SolverFailure
 from .graph import METRIC_AMBIENT, METRIC_INTRINSIC, NeighborhoodGraph, build_graph, eps_from_rule
 from .kernels import kernel_constants, parse_kernel
-from .manifolds import PointCloud, make_manifold, parse_density, sample_iid
+from .manifolds import MANIFOLDS, PointCloud, make_manifold, parse_density, sample_iid
 from .spectral import MODE_NORMALIZED, MODE_UNNORMALIZED, graph_spectrum
 
 
@@ -293,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_info)
 
     p = sub.add_parser("sample", help="draw an i.i.d. cloud and write cloud.json")
-    p.add_argument("--manifold", required=True,
-                   choices=["circle", "torus", "sphere", "square", "singular"])
+    p.add_argument("--manifold", required=True, choices=list(MANIFOLDS))
     p.add_argument("--density", default="const")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

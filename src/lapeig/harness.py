@@ -78,8 +78,7 @@ def target_spectrum(config: ExperimentConfig):
     which = WEIGHTED if config.mode == MODE_UNNORMALIZED else NORMALIZED
     if model.density.form == "constant":
         return model, analytic_spectrum(model, which, config.k_max)
-    if model.kind != "circle":
-        raise LapeigError("non-constant densities only have a circle oracle")
+    # every other model refuses a non-constant density when it is built
     return model, oracle_spectrum_circle_weighted(
         model.density, ORACLE_GRID, config.k_max, which=which)
 

@@ -133,6 +133,8 @@ def lambda_eps(ctx: InterpolationContext, u, x) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (ctx.cloud.n,):
         raise ValueError("u must have one entry per sample point")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("every entry of u must be finite")
     total, mass = _row_sums(ctx, x, [u, np.ones(ctx.cloud.n)])
     if np.any(mass <= 0.0):
         bad = int(np.nonzero(mass <= 0.0)[0][0])

@@ -86,14 +86,18 @@ def _angdist(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def _take_spectrum(pairs, count):
-    """Expand (value, multiplicity) pairs, ascending, to count entries."""
-    out = []
-    for val, mult in pairs:
-        out.extend([val] * mult)
-        if len(out) >= count:
-            break
-    return np.array(out[:count])
+def _flat_torus_spectrum(length: float, radius: float, count: int) -> np.ndarray:
+    """Lowest count eigenvalues, with multiplicity, of the flat torus of sides
+    length and 2 pi radius: (2 pi j / length)^2 + (k / radius)^2 over integers j, k.
+
+    The lattice |j|, |k| < 64 holds every value below the first one with
+    |j| or |k| = 64; beyond that a value's multiplicity would be cut short.
+    """
+    bound = 64
+    idx = np.arange(1 - bound, bound)
+    vals = np.add.outer((TWO_PI * idx / length) ** 2, (idx / radius) ** 2).ravel()
+    cutoff = min(TWO_PI * bound / length, bound / radius) ** 2
+    return np.sort(vals[vals < cutoff])[:count]
 
 
 class _BaseModel:
@@ -119,8 +123,8 @@ class _BaseModel:
     def sample_params(self, n: int, rng) -> np.ndarray:
         raise NotImplementedError
 
-    def spectrum_pairs(self):
-        """(eigenvalue, multiplicity) pairs of the plain Laplacian, ascending."""
+    def plain_spectrum(self, count: int) -> np.ndarray:
+        """Lowest count eigenvalues of the plain Laplacian, with multiplicity, ascending."""
         raise NotImplementedError
 
     def pair_distances(self, pa, pb) -> np.ndarray:
@@ -182,7 +186,7 @@ class _BaseModel:
             raise NoAnalyticSpectrum(
                 "non-constant density has no closed-form weighted spectrum; "
                 "use the one-dimensional oracle")
-        base = _take_spectrum(self.spectrum_pairs(), k + 1)
+        base = self.plain_spectrum(k + 1)
         if which == WEIGHTED:
             return base / self.volume()
         return base
@@ -221,12 +225,8 @@ class _ClosedCurve(_BaseModel):
     def sample_params(self, n, rng):
         return rng.uniform(0.0, TWO_PI, n)  # constant speed: uniform arc length
 
-    def spectrum_pairs(self):
-        yield (0.0, 1)
-        j = 1
-        while True:
-            yield (float((TWO_PI / self.volume() * j) ** 2), 2)
-            j += 1
+    def plain_spectrum(self, count):
+        return (TWO_PI / self.volume() * ((np.arange(count) + 1) // 2)) ** 2
 
     def chart_grid(self, resolution):
         theta = (np.arange(resolution) + 0.5) * TWO_PI / resolution
@@ -286,13 +286,8 @@ class CliffordTorus(_BaseModel):
     def sample_params(self, n, rng):
         return rng.uniform(0.0, TWO_PI, (n, 2))
 
-    def spectrum_pairs(self):
-        bound = 64
-        rng_ = np.arange(-bound, bound + 1)
-        vals = (rng_[:, None] ** 2 + rng_[None, :] ** 2).ravel()
-        uniq, counts = np.unique(vals, return_counts=True)
-        for v, c in zip(uniq, counts):
-            yield (float(v), int(c))
+    def plain_spectrum(self, count):
+        return _flat_torus_spectrum(TWO_PI, 1.0, count)
 
     def chart_grid(self, resolution):
         params, (h, _) = _midpoint_grid(resolution, [(0.0, TWO_PI), (0.0, TWO_PI)])
@@ -327,11 +322,10 @@ class UnitSphere(_BaseModel):
         lon = np.mod(np.arctan2(g[:, 1], g[:, 0]), TWO_PI)
         return np.stack([colat, lon], axis=-1)
 
-    def spectrum_pairs(self):
-        l = 0
-        while True:
-            yield (float(l * (l + 1)), 2 * l + 1)
-            l += 1
+    def plain_spectrum(self, count):
+        # l(l+1) holds the 2l+1 indices l^2 .. (l+1)^2 - 1
+        l = np.floor(np.sqrt(np.arange(count)))
+        return l * (l + 1.0)
 
     def chart_grid(self, resolution):
         # grid in (z, lon): the area element is exactly dz dlon
@@ -386,39 +380,33 @@ class SingularSurface(_BaseModel):
             raise ValueError("m2_radius must be positive")
         self.profile = profile
         self.m2_radius = float(m2_radius)
-        self._breaks = profile.grid()
         self._cumlen = _sing.curve_arclength_table(profile.alpha)
         self._length = float(self._cumlen[-1])
-        w0, w1, dslope = _sing._segment_speeds(profile.alpha)
-        self._seg_d = dslope
-        self._seg_w0 = w0
-        self._max_speed = float(np.sqrt(np.maximum(w0 * w0, w1 * w1) + dslope ** 2).max())
+        self._slopes = _sing.dyadic_slopes(profile).slopes
+        # the speed sqrt(w^2 + d^2), w = 2 pi (1 + f), peaks at a segment's end
+        w = TWO_PI * (1.0 + profile.alpha)
+        self._max_speed = float(
+            np.sqrt(np.maximum(w[:-1] ** 2, w[1:] ** 2) + self._slopes ** 2).max())
 
     def volume(self):
         return self._length * TWO_PI * self.m2_radius
 
-    def speed(self, x):
+    def _segment(self, x):
+        """x wrapped into [0, 1), its dyadic segment, and the fraction of that segment before x."""
         xv = np.mod(np.asarray(x, dtype=float), 1.0)
+        n_seg = self._slopes.size
+        seg = np.minimum((xv * n_seg).astype(int), n_seg - 1)
+        return xv, seg, xv * n_seg - seg
+
+    def speed(self, x):
+        xv, seg, _ = self._segment(x)
         f = _sing.profile_function(self.profile, xv)
-        seg = np.minimum((xv * (self._breaks.size - 1)).astype(int),
-                         self._breaks.size - 2)
-        return np.sqrt((TWO_PI * (1.0 + f)) ** 2 + self._seg_d[seg] ** 2)
+        return np.sqrt((TWO_PI * (1.0 + f)) ** 2 + self._slopes[seg] ** 2)
 
     def curve_arclength(self, x):
         """Exact arc length along the perturbed circle from 0 to x in [0, 1)."""
-        xv = np.mod(np.asarray(x, dtype=float), 1.0)
-        n_seg = self._breaks.size - 1
-        seg = np.minimum((xv * n_seg).astype(int), n_seg - 1)
-        frac = xv * n_seg - seg
-        d = self._seg_d[seg]
-        w0 = self._seg_w0[seg]
-        wx = w0 + TWO_PI * d * frac / n_seg
-        partial = np.where(
-            d == 0.0,
-            frac / n_seg * w0,
-            (_sing._speed_antiderivative(wx, d) - _sing._speed_antiderivative(w0, d))
-            / np.where(d == 0.0, 1.0, TWO_PI * d))
-        return self._cumlen[seg] + partial
+        _, seg, frac = self._segment(x)
+        return self._cumlen[seg] + _sing.segment_arclength(self.profile.alpha, seg, frac)
 
     def embed(self, params):
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -453,19 +441,8 @@ class SingularSurface(_BaseModel):
         ys = rng.uniform(0.0, TWO_PI, n)
         return np.stack([xs, ys], axis=-1)
 
-    def spectrum_pairs(self):
-        # flat torus of sides L and 2 pi r: (2 pi j / L)^2 + (k / r)^2, one entry per
-        # (|j|, |k|) so that values equal by coincidence are never merged
-        bound = 64
-        j, k = np.divmod(np.arange(bound * bound), bound)
-        vals = (TWO_PI * j / self._length) ** 2 + (k / self.m2_radius) ** 2
-        mult = np.where(j > 0, 2, 1) * np.where(k > 0, 2, 1)
-        # below the cutoff no index beyond the bound can contribute
-        cutoff = min(TWO_PI * bound / self._length, bound / self.m2_radius) ** 2
-        for i in np.argsort(vals, kind="stable"):
-            if vals[i] >= cutoff:
-                break
-            yield (float(vals[i]), int(mult[i]))
+    def plain_spectrum(self, count):
+        return _flat_torus_spectrum(self._length, self.m2_radius, count)
 
     def _bilipschitz_params(self):
         rng = np.random.default_rng(1234)
@@ -476,21 +453,22 @@ class SingularSurface(_BaseModel):
         return params, self.rho(params) * self.speed(params[:, 0]) * self.m2_radius * hx * hy
 
 
+# the CLI names of the models, which are their kinds
+MANIFOLDS = {model.kind: model for model in
+             (UnitCircle, CliffordTorus, UnitSphere, SquareBoundary, SingularSurface)}
+
+
 def make_manifold(name: str, density: DensitySpec | None = None,
                   profile_level: int = 8):
-    """Build a model by CLI name: circle | torus | sphere | square | singular."""
-    if name == "circle":
-        return UnitCircle(density)
-    if name == "torus":
-        return CliffordTorus(density)
-    if name == "sphere":
-        return UnitSphere(density)
-    if name == "square":
-        return SquareBoundary(density)
-    if name == "singular":
-        profile = _sing.dyadic_profile(_sing.geometric_theta(0.5), profile_level)
-        return SingularSurface(profile, density=density)
-    raise ValueError(f"unknown manifold {name!r}")
+    """Build a model by its name in MANIFOLDS; the singular surface takes the
+    dyadic profile of ratio 0.5 at profile_level."""
+    model = MANIFOLDS.get(name) if isinstance(name, str) else None
+    if model is None:
+        raise ValueError(f"unknown manifold {name!r}")
+    if model is SingularSurface:
+        return model(_sing.dyadic_profile(_sing.geometric_theta(0.5), profile_level),
+                     density=density)
+    return model(density)
 
 
 # -- module-level operation wrappers ---------------------------------------

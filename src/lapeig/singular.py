@@ -181,6 +181,8 @@ def sensitivity_operator(config: SensitivityConfig, h: Callable, z0, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be positive and below the face length 1")
+    if not (math.isfinite(rtol) and rtol >= 0.0 and math.isfinite(atol) and atol >= 0.0):
+        raise ValueError(f"rtol and atol must be finite and non-negative, got {rtol!r} and {atol!r}")
     batch = np.atleast_2d(np.asarray(z0, dtype=float))
     if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("z0 must be one chart point (theta1, theta2) or an (N, 2) array")
@@ -381,15 +383,6 @@ def profile_function(profile: DyadicProfile, x, level: int | None = None) -> np.
     return np.asarray(np.interp(xv, np.arange(2 ** n + 1) / 2.0 ** n, a))
 
 
-def _segment_speeds(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoints of w = 2 pi (1 + f) and the constant slope d per dyadic segment."""
-    n_seg = alpha.size - 1
-    d = (alpha[1:] - alpha[:-1]) * n_seg
-    w0 = 2.0 * math.pi * (1.0 + alpha[:-1])
-    w1 = 2.0 * math.pi * (1.0 + alpha[1:])
-    return w0, w1, d
-
-
 def _speed_antiderivative(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Antiderivative of sqrt(w^2 + d^2) in w."""
     root = np.sqrt(w * w + d * d)
@@ -399,19 +392,29 @@ def _speed_antiderivative(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def segment_arclength(alpha: np.ndarray, seg, frac) -> np.ndarray:
+    """Exact arc length of the perturbed-circle curve over the first ``frac``
+    in [0, 1] of each dyadic segment ``seg`` of the grid of ``alpha``.
+
+    On a segment f has the constant slope d and the speed is sqrt(w^2 + d^2)
+    with w = 2 pi (1 + f) linear in x.  A whole segment (frac = 1) ends at
+    its breakpoint's w, a part at the w its slope reaches.
+    """
+    n_seg = alpha.size - 1
+    a0, a1 = alpha[seg], alpha[seg + 1]
+    d = (a1 - a0) * n_seg
+    w0 = 2.0 * math.pi * (1.0 + a0)
+    wx = np.where(frac == 1.0, 2.0 * math.pi * (1.0 + a1),
+                  w0 + 2.0 * math.pi * d * frac / n_seg)
+    flat = d == 0.0
+    return np.where(flat, frac / n_seg * w0,
+                    (_speed_antiderivative(wx, d) - _speed_antiderivative(w0, d))
+                    / np.where(flat, 1.0, 2.0 * math.pi * d))
+
+
 def _segment_lengths(alpha: np.ndarray) -> np.ndarray:
     """Exact arc length of each segment of the perturbed-circle curve."""
-    n_seg = alpha.size - 1
-    h = 1.0 / n_seg
-    w0, w1, d = _segment_speeds(alpha)
-    lengths = np.empty(n_seg)
-    flat = d == 0.0
-    lengths[flat] = h * w0[flat]
-    sl = ~flat
-    upper = _speed_antiderivative(w1[sl], d[sl])
-    lower = _speed_antiderivative(w0[sl], d[sl])
-    lengths[sl] = (upper - lower) / (2.0 * math.pi * d[sl])
-    return lengths
+    return segment_arclength(alpha, np.arange(alpha.size - 1), 1.0)
 
 
 @dataclass(frozen=True)

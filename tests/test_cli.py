@@ -232,10 +232,28 @@ def test_validation_exit_code(tmp_path):
     assert run(["sample", "--manifold", "circle", "--n", "50", "--seed", "1",
                 "--out", str(cloud_path)]) == 0
     values_path = tmp_path / "u.json"
-    for bad in ({"a": 1}, ["x"] * 50, [1.0] * 49 + [True], [[1.0]] * 50, "1"):
+    # and values that are not finite, which JSON writes as NaN or Infinity:
+    # a NaN once came back as nan in the CSV with exit 0
+    for bad in ({"a": 1}, ["x"] * 50, [1.0] * 49 + [True], [[1.0]] * 50, "1",
+                [1.0] * 49 + [math.nan], [math.inf] + [1.0] * 49, [1.0] * 49 + [-math.inf]):
         values_path.write_text(json.dumps(bad))
         assert run(["interp", "--cloud", str(cloud_path), "--u", str(values_path),
                     "--eps", "auto:1", "--out", str(tmp_path / "i.csv")]) == 2
+    # an unknown query spec, and a cloud whose chart is not 1-D
+    values_path.write_text(json.dumps([1.0] * 50))
+    assert run(["interp", "--cloud", str(cloud_path), "--u", str(values_path),
+                "--query", "bogus:8", "--eps", "auto:1", "--out", str(tmp_path / "i.csv")]) == 2
+    sphere_path = tmp_path / "sphere.json"
+    assert run(["sample", "--manifold", "sphere", "--n", "50", "--seed", "1",
+                "--out", str(sphere_path)]) == 0
+    assert run(["interp", "--cloud", str(sphere_path), "--u", str(values_path),
+                "--eps", "auto:1", "--out", str(tmp_path / "i.csv")]) == 2
+    # an unknown theta spec, a ratio outside (0, 1), a level below 1
+    for flags in (["--theta", "power:2"], ["--theta", "geometric:2"], ["--level", "0"]):
+        assert run(["dyadic", *flags, "--out", str(tmp_path / "d.csv")]) == 2
+    # eigenvector alignment needs the circle, whose block functions are explicit
+    assert run(["align", "--manifold", "square", "--trials", "1", "--n", "64",
+                "--out", str(tmp_path / "a.json")]) == 2
 
 
 def test_eps_rule_forms(tmp_path):

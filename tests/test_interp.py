@@ -62,6 +62,16 @@ def test_lambda_single_point():
         I.lambda_eps(ctx, np.array([2.5]), 0.3 + math.pi)
 
 
+def test_lambda_refuses_non_finite_values():
+    # a NaN in u once came back as a NaN value, with no error
+    ctx = circle_context(200, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        u = np.ones(200)
+        u[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            I.lambda_eps(ctx, u, np.array([0.1, 3.0]))
+
+
 def test_lambda_lipschitz_bound():
     ctx = circle_context()
     u = I.restrict(np.sin, ctx.cloud)

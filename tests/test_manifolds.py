@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from lapeig import manifolds as M
+from lapeig import singular as S
 from lapeig.errors import GridTooSmall, NoAnalyticSpectrum, SolverFailure, UnsupportedDensity
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +118,99 @@ def test_spectrum_errors():
         M.analytic_spectrum(M.UnitCircle(M.cosine_density(0.3)), "weighted", 2)
     with pytest.raises(UnsupportedDensity):
         M.CliffordTorus(M.cosine_density(0.3))
+
+
+def _reference_spectrum(model, count):
+    """The plain spectrum as (value, multiplicity) generators stated it,
+    expanded in order: the reference for each model's plain_spectrum."""
+    def pairs():
+        if model.kind in ("circle", "square"):
+            yield (0.0, 1)
+            for j in range(1, count):
+                yield (float((TWO_PI / model.volume() * j) ** 2), 2)
+        elif model.kind == "sphere":
+            for l in range(count):
+                yield (float(l * (l + 1)), 2 * l + 1)
+        elif model.kind == "torus":
+            idx = np.arange(-64, 65)
+            vals = (idx[:, None] ** 2 + idx[None, :] ** 2).ravel()
+            yield from zip(*(a.tolist() for a in np.unique(vals, return_counts=True)))
+        else:
+            bound, length, r = 64, model._length, model.m2_radius
+            j, k = np.divmod(np.arange(bound * bound), bound)
+            vals = (TWO_PI * j / length) ** 2 + (k / r) ** 2
+            mult = np.where(j > 0, 2, 1) * np.where(k > 0, 2, 1)
+            cutoff = min(TWO_PI * bound / length, bound / r) ** 2
+            for i in np.argsort(vals, kind="stable"):
+                if vals[i] >= cutoff:
+                    break
+                yield (float(vals[i]), int(mult[i]))
+
+    out = []
+    for val, mult in pairs():
+        out.extend([val] * mult)
+        if len(out) >= count:
+            break
+    return np.array(out[:count])
+
+
+@pytest.mark.parametrize("which", ["unweighted", "weighted", "normalized"])
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_analytic_spectrum_equals_reference(name, which):
+    model = _model(name)
+    models = [model]
+    if name == "singular":
+        models += [M.SingularSurface(model.profile, m2_radius=r) for r in (0.3, 2.5)]
+    for model in models:
+        want = _reference_spectrum(model, 301)
+        if which == "weighted":
+            want = want / model.volume()
+        got = M.analytic_spectrum(model, which, 300)
+        assert got.shape == (301,) and np.array_equal(got, want)
+
+
+def _reference_arclength(profile, x):
+    """Arc length from 0 to x along the singular surface's curve, per segment:
+    a table of whole segments, then the part of x's segment."""
+    def antiderivative(w, d):
+        root = np.sqrt(w * w + d * d)
+        out = 0.5 * w * root
+        nz = d != 0.0
+        out[nz] += 0.5 * d[nz] ** 2 * np.log(w[nz] + root[nz])
+        return out
+
+    alpha = profile.alpha
+    n_seg = alpha.size - 1
+    d = (alpha[1:] - alpha[:-1]) * n_seg
+    w0 = 2.0 * math.pi * (1.0 + alpha[:-1])
+    w1 = 2.0 * math.pi * (1.0 + alpha[1:])
+    lengths = np.empty(n_seg)
+    flat, sl = d == 0.0, d != 0.0
+    lengths[flat] = 1.0 / n_seg * w0[flat]
+    lengths[sl] = ((antiderivative(w1[sl], d[sl]) - antiderivative(w0[sl], d[sl]))
+                   / (2.0 * math.pi * d[sl]))
+    table = np.concatenate([[0.0], np.cumsum(lengths)])
+    xv = np.mod(x, 1.0)
+    seg = np.minimum((xv * n_seg).astype(int), n_seg - 1)
+    frac = xv * n_seg - seg
+    d, w0 = d[seg], w0[seg]
+    wx = w0 + TWO_PI * d * frac / n_seg
+    partial = np.where(d == 0.0, frac / n_seg * w0,
+                       (antiderivative(wx, d) - antiderivative(w0, d))
+                       / np.where(d == 0.0, 1.0, TWO_PI * d))
+    return table[seg] + partial
+
+
+def test_curve_arclength_equals_reference():
+    # the default profile, and one flat on half its segments
+    grid = np.arange(33) / 32.0
+    half_flat = S.DyadicProfile(level=5, alpha=0.3 * np.maximum(np.sin(TWO_PI * grid), 0.0),
+                                theta_values=np.array([]), theta_sum=0.0)
+    x = np.concatenate([np.random.default_rng(5).uniform(-1.0, 2.0, 10 ** 5), grid,
+                        [1.0 - 2.0 ** -53, -2.0 ** -60]])
+    for profile in (M.make_manifold("singular").profile, half_flat):
+        model = M.SingularSurface(profile)
+        assert np.array_equal(model.curve_arclength(x), _reference_arclength(profile, x))
 
 
 # three chart points 1e-9 to 2e-9 apart in the chart, across each chart's seams

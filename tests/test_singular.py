@@ -251,6 +251,23 @@ def test_sensitivity_point_shapes():
     assert S.sensitivity_operator(CFG, h, np.zeros((0, 2)), 0.1).shape == (0,)
 
 
+def test_sensitivity_refuses_bad_tolerances():
+    # with both tolerances negative no point could converge: the call once
+    # doubled the quadrature 12 times and reported the point as still moving
+    calls = []
+
+    def h(t1, t2):
+        calls.append(1)
+        return np.sin(np.asarray(t1, dtype=float))
+
+    for rtol, atol in ((-1.0, -1.0), (-1e-3, 1e-9), (1e-3, -1e-9), (math.nan, 1e-9),
+                       (1e-3, math.nan), (math.inf, 1e-9), (1e-3, math.inf)):
+        with pytest.raises(ValueError, match="rtol and atol"):
+            S.sensitivity_operator(CFG, h, (0.4, 0.0), 0.1, rtol=rtol, atol=atol)
+    assert not calls
+    assert S.sensitivity_operator(CFG, h, (0.0, 0.0), 0.1, rtol=0.0, atol=1e-9).shape == (1,)
+
+
 def test_sensitivity_batch_quadrature_guard(monkeypatch):
     # the corner value cancels and converges at once; the other point is
     # still moving after two doublings, so the whole call fails
