@@ -90,14 +90,24 @@ def _flat_torus_spectrum(length: float, radius: float, count: int) -> np.ndarray
     """Lowest count eigenvalues, with multiplicity, of the flat torus of sides
     length and 2 pi radius: (2 pi j / length)^2 + (k / radius)^2 over integers j, k.
 
-    The lattice |j|, |k| < 64 holds every value below the first one with
-    |j| or |k| = 64; beyond that a value's multiplicity would be cut short.
+    The lattice |j| < bj, |k| < bk holds every value below the first one with
+    |j| = bj or |k| = bk; beyond that a value's multiplicity would be cut
+    short.  The bound that sets that cut doubles, from 64 each, until the cut
+    holds count values.  Each value depends on its (j, k) alone, so every
+    lattice that holds the count lowest gives them bit for bit.
     """
-    bound = 64
-    idx = np.arange(1 - bound, bound)
-    vals = np.add.outer((TWO_PI * idx / length) ** 2, (idx / radius) ** 2).ravel()
-    cutoff = min(TWO_PI * bound / length, bound / radius) ** 2
-    return np.sort(vals[vals < cutoff])[:count]
+    bj = bk = 64
+    while True:
+        j, k = np.arange(1 - bj, bj), np.arange(1 - bk, bk)
+        vals = np.add.outer((TWO_PI * j / length) ** 2, (k / radius) ** 2).ravel()
+        cut_j, cut_k = TWO_PI * bj / length, bk / radius
+        held = vals[vals < min(cut_j, cut_k) ** 2]
+        if held.size >= count:
+            return np.sort(held)[:count]
+        if cut_j <= cut_k:
+            bj *= 2
+        else:
+            bk *= 2
 
 
 class _BaseModel:

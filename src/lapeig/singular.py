@@ -384,12 +384,13 @@ def profile_function(profile: DyadicProfile, x, level: int | None = None) -> np.
 
 
 def _speed_antiderivative(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Antiderivative of sqrt(w^2 + d^2) in w."""
+    """Antiderivative of sqrt(w^2 + d^2) in w, for arrays and scalars alike.
+
+    The log term vanishes where d = 0, and is taken at 1 there, since
+    w + root is 0 for w <= 0.
+    """
     root = np.sqrt(w * w + d * d)
-    out = 0.5 * w * root
-    nz = d != 0.0
-    out[nz] += 0.5 * d[nz] ** 2 * np.log(w[nz] + root[nz])
-    return out
+    return 0.5 * w * root + 0.5 * d ** 2 * np.log(np.where(d != 0.0, w + root, 1.0))
 
 
 def segment_arclength(alpha: np.ndarray, seg, frac) -> np.ndarray:

@@ -41,6 +41,9 @@ from .kernels import KernelProfile, sigma_eta, sigma_tilde_eta
 RESIDUAL_TOL = 1e-8
 # ARPACK's stopping tolerance on the deflated operator, relative to each Ritz value
 LANCZOS_TOL = 1e-10
+# Lanczos basis vectors, twice as many where K stores at least 4 LANCZOS_NCV
+# entries per row: there one K product (2 nnz flops) costs as much as a
+# Gram-Schmidt pass against the whole longer basis (4 n j flops at step j)
 LANCZOS_NCV = 40
 LANCZOS_MAXITER = 500
 # stored entries per row block of a split Lanczos matvec, at least; on a
@@ -167,7 +170,9 @@ def _smallest_eigenpairs(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
     vector of A: ARPACK's regular-mode Lanczos (one product with K per step,
     split over the idle cores by _LanczosOperator) finds the count - 1
     smallest values of A + sigma u u^T, u = w/||w||, from a seeded start
-    vector, with LANCZOS_NCV basis vectors, at most LANCZOS_MAXITER restarts
+    vector, with LANCZOS_NCV basis vectors (2 LANCZOS_NCV on a dense K:
+    ARPACK checks convergence only on a full basis, so a short one restarts
+    and spends products it did not need), at most LANCZOS_MAXITER restarts
     and tolerance LANCZOS_TOL, and (w^T A w / w^T w, u) is prepended;
     count = 1 makes no ARPACK call.  lambda_0 is taken from the unnormalized
     w, which rounds less than u.  beta = 2 max diag(A) bounds A's spectrum,
@@ -191,11 +196,12 @@ def _smallest_eigenpairs(kmat: sparse.csr_matrix, a: np.ndarray, s: np.ndarray,
     vals, vecs, matvecs = np.empty(0), np.empty((n, 0)), 0
     if count > 1:
         v0 = np.random.default_rng(np.uint64(0xC0FFEE ^ n)).standard_normal(n)
+        basis = 2 * LANCZOS_NCV if kmat.nnz >= 4 * LANCZOS_NCV * n else LANCZOS_NCV
         try:
             op = _LanczosOperator(kmat, a, s, sigma, u)
             with _counted_solve():
                 vals, vecs = eigsh(op, k=count - 1, which="SA", tol=LANCZOS_TOL, v0=v0,
-                                   ncv=min(n, max(LANCZOS_NCV, 2 * count - 1)),
+                                   ncv=min(n, max(basis, 2 * count - 1)),
                                    maxiter=LANCZOS_MAXITER)
         # ARPACK's errors are RuntimeErrors
         except (RuntimeError, MemoryError) as exc:

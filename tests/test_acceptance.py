@@ -260,12 +260,18 @@ def test_criterion_11_dyadic_suite():
 
 
 def test_criterion_12_determinism():
-    config = H.ExperimentConfig(n_grid=(256, 512), trials=2, k_max=2,
-                                master_seed=MASTER_SEED)
-    first = H.report_csv_text(H.run_convergence(config))
-    second = H.report_csv_text(H.run_convergence(config))
-    assert first.encode() == second.encode()
-    _report("12 determinism", f"{len(first.splitlines()) - 1} rows byte-identical")
+    # the square at n = 4096 solves with the longer Lanczos basis, on two threads
+    configs = (H.ExperimentConfig(n_grid=(256, 512), trials=2, k_max=2,
+                                  master_seed=MASTER_SEED),
+               H.ExperimentConfig(manifold="square", n_grid=(4096,), trials=2, k_max=4,
+                                  master_seed=MASTER_SEED, threads=2))
+    rows = 0
+    for config in configs:
+        first = H.report_csv_text(H.run_convergence(config))
+        second = H.report_csv_text(H.run_convergence(config))
+        assert first.encode() == second.encode()
+        rows += len(first.splitlines()) - 1
+    _report("12 determinism", f"{rows} rows byte-identical")
 
 
 def test_criterion_13_singular_surface():

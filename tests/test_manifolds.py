@@ -169,6 +169,16 @@ def test_analytic_spectrum_equals_reference(name, which):
         assert got.shape == (301,) and np.array_equal(got, want)
 
 
+def test_flat_torus_spectrum_grows_its_lattice():
+    # r = 0.05: the |j|, |k| < 64 lattice holds only 451 values below its cut
+    model = M.SingularSurface(M.make_manifold("singular").profile, m2_radius=0.05)
+    idx = np.arange(-300, 301)
+    vals = np.add.outer((TWO_PI * idx / model._length) ** 2, (idx / 0.05) ** 2).ravel()
+    want = np.sort(vals)[:1001]
+    assert want[-1] < min(TWO_PI * 301 / model._length, 301 / 0.05) ** 2
+    assert np.array_equal(M.analytic_spectrum(model, "unweighted", 1000), want)
+
+
 def _reference_arclength(profile, x):
     """Arc length from 0 to x along the singular surface's curve, per segment:
     a table of whole segments, then the part of x's segment."""
@@ -211,6 +221,7 @@ def test_curve_arclength_equals_reference():
     for profile in (M.make_manifold("singular").profile, half_flat):
         model = M.SingularSurface(profile)
         assert np.array_equal(model.curve_arclength(x), _reference_arclength(profile, x))
+        assert model.curve_arclength(0.3) == model.curve_arclength(np.array([0.3]))[0]
 
 
 # three chart points 1e-9 to 2e-9 apart in the chart, across each chart's seams

@@ -162,6 +162,34 @@ def test_lanczos_finds_both_copies_of_double_eigenvalues(mode):
     np.testing.assert_allclose(spec.values, ref, rtol=0.0, atol=tol)
 
 
+@pytest.mark.parametrize("mode", [S.MODE_UNNORMALIZED, S.MODE_NORMALIZED])
+def test_lanczos_basis_doubles_on_dense_graphs(mode, monkeypatch):
+    # 2 LANCZOS_NCV basis vectors from 4 LANCZOS_NCV stored entries per row,
+    # LANCZOS_NCV below that, and never more than n
+    cloud = M.sample_iid(M.SquareBoundary(), 1200, 3)
+    ncvs = []
+    real_eigsh = S.eigsh
+
+    def recording(op, *args, **kwargs):
+        ncvs.append(kwargs["ncv"])
+        return real_eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(S, "eigsh", recording)
+    dense, sparse_ = (G.build_graph(cloud, IND, eps) for eps in (0.33, 0.2))
+    assert dense.kernel_matrix.nnz >= 4 * S.LANCZOS_NCV * dense.n
+    assert sparse_.kernel_matrix.nnz < 4 * S.LANCZOS_NCV * sparse_.n
+    small = G.build_graph(M.ambient_cloud(cloud.ambient[:30]), IND, 3.0)
+    assert small.n < S.LANCZOS_NCV
+    for g in (dense, sparse_, small):
+        spec, _ = S.graph_spectrum(g, 4, mode, IND, 1)
+        lap = g.laplacian().toarray()
+        if mode == S.MODE_NORMALIZED:
+            lap = lap / np.sqrt(np.outer(g.degrees, g.degrees))
+        ref = sla.eigh(lap, eigvals_only=True)
+        np.testing.assert_allclose(spec.values, ref[:5], rtol=0.0, atol=1e-12 * ref[-1])
+    assert ncvs == [2 * S.LANCZOS_NCV, S.LANCZOS_NCV, small.n]
+
+
 def test_normalized_equals_symmetric_similarity():
     cloud = M.sample_iid(M.UnitCircle(), 150, 5)
     g = G.build_graph(cloud, IND, 0.5)
